@@ -6,11 +6,9 @@
 //   --ecs=a,b,c     ECS sweep (default 512,1024,2048,4096,8192)
 //   --seed=N        corpus seed
 //   --cache_kb=N    equal manifest-cache RAM budget per algorithm (256)
-//   --chunker=K     rabin (default) | tttd | gear
-//   --chunker-impl=I  auto (default) | scalar | simd scan kernel
-//   --pipeline      staged concurrent ingest with 4 hash workers
-//   --ingest-threads=N  hash-pool size for the ingest pipeline (0 = serial)
 //   --verify        byte-exact reconstruction check after every run (slow)
+// plus every engine flag of sim/engine_flags.h (--chunker, --chunker-impl,
+// --ingest-threads, --hash-impl, ...), bound over SD 32.
 //
 // Scaling note (EXPERIMENTS.md discusses this in detail): the paper used a
 // 1.0 TB corpus with SD=1000, i.e. hundreds of hooks per 5 GB disk image.
@@ -25,6 +23,7 @@
 #include <vector>
 
 #include "mhd/metrics/analysis.h"
+#include "mhd/sim/engine_flags.h"
 #include "mhd/sim/runner.h"
 #include "mhd/util/flags.h"
 #include "mhd/util/table.h"
@@ -40,34 +39,28 @@ struct BenchOptions {
   bool verify = false;
   /// Equal manifest-cache RAM budget for every algorithm (--cache_kb).
   std::uint64_t cache_kb = 256;
-  /// Cut-point algorithm for every engine (--chunker=rabin|tttd|gear).
-  ChunkerKind chunker = ChunkerKind::kRabin;
-  /// Scan kernel (--chunker-impl=auto|scalar|simd); cut points identical.
-  ChunkerImpl chunker_impl = ChunkerImpl::kAuto;
-  /// Hash workers for the staged ingest pipeline (0 = serial ingest).
-  std::uint32_t ingest_threads = 0;
+  /// Every other engine flag, bound by sim/engine_flags.h.
+  EngineConfig engine;
 
   static BenchOptions parse(int argc, char** argv) {
     const Flags flags(argc, argv);
     BenchOptions o;
+    EngineConfig defaults;
+    defaults.sd = o.sd;
+    o.engine = bind_engine_flags(flags, defaults, /*ecs_sweep=*/true);
+    o.sd = o.engine.sd;
     o.total_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 96));
-    o.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
     o.ecs_list = flags.get_int_list("ecs", o.ecs_list);
     o.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     o.verify = flags.get_bool("verify", false);
     o.cache_kb = static_cast<std::uint64_t>(flags.get_int("cache_kb", 256));
-    o.chunker = chunker_kind_from_string(flags.get("chunker", "rabin"));
-    o.chunker_impl = chunker_impl_from_string(
-        flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-    o.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-        "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
     return o;
   }
 
   Corpus make_corpus() const { return Corpus(icpp13_preset(total_mb, seed)); }
 
   EngineConfig engine_config(std::uint32_t ecs) const {
-    EngineConfig cfg;
+    EngineConfig cfg = engine;
     cfg.ecs = ecs;
     cfg.sd = sd;
     cfg.bloom_bytes = 4 << 20;
@@ -75,9 +68,6 @@ struct BenchOptions {
     // count cap is lifted so the byte budget is the binding constraint.
     cfg.manifest_cache_bytes = cache_kb << 10;
     cfg.manifest_cache_capacity = 4096;
-    cfg.chunker = chunker;
-    cfg.chunker_impl = chunker_impl;
-    cfg.ingest_threads = ingest_threads;
     return cfg;
   }
 

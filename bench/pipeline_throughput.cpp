@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "mhd/sim/engine_flags.h"
 #include "mhd/sim/runner.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
@@ -187,18 +188,13 @@ int main(int argc, char** argv) {
   RunConfig rc;
   rc.engine_name = flags.get("engine", "cdc");
   rc.reps = static_cast<int>(flags.get_uint("reps", 3, 1, 100));
-  rc.engine.ecs =
-      static_cast<std::uint32_t>(flags.get_uint("ecs", 4096, 64, 1 << 20));
-  rc.engine.sd = 32;
+  EngineConfig defaults;
+  defaults.ecs = 4096;
+  defaults.sd = 32;
   // Gear (SIMD scan) by default so chunking is cheap and SHA-1 dominates —
   // the regime the hash pool is built for; override to study others.
-  rc.engine.chunker = chunker_kind_from_string(flags.get("chunker", "gear"));
-  rc.engine.chunker_impl = chunker_impl_from_string(
-      flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-  rc.engine.hash_impl = sha1_impl_from_string(flags.get_choice(
-      "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  rc.engine.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
+  defaults.chunker = ChunkerKind::kGear;
+  rc.engine = bind_engine_flags(flags, defaults);
 
   std::vector<std::uint32_t> workers;
   for (const auto w : flags.get_int_list("workers", {0, 1, 2, 4, 8})) {

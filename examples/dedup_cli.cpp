@@ -18,8 +18,6 @@
 //   ./dedup_cli serve <repo_dir>                 run the dedup daemon
 //       --listen=unix:<path>|tcp:<port>  (default unix:<repo>/daemon.sock)
 //       --max-sessions=8 --retry-after-ms=100
-//       --session-queue-depth=16  (accepted; inert since the engine
-//                                  reads the socket directly)
 //       --tenant-quota-mb=N --tenant-quota-files=N   per-tenant limits
 //       --serve-seconds=N                stop after N seconds (tests)
 //       --idle-timeout-ms=N              reap sessions idle for N ms
@@ -50,65 +48,33 @@
 // store.lock: two writers on one repo fail fast with a typed error
 // instead of corrupting each other (see store/store_lock.h).
 //
-// Options: --ecs=4096 --sd=64 --chunker=rabin|tttd|gear
-//          --chunker-impl=auto|scalar|simd
-//          --hash-impl=auto|shani|simd|portable   SHA-1 kernel selection
-//          --index-impl=mem|disk|sampled   fingerprint-index routing.
-//          `disk` persists the index under the repo's index/ namespace
-//          with a bounded page cache, so a reopened repo deduplicates
-//          against its history without rebuilding an in-RAM map.
-//          `sampled` keeps only a sparse similarity hook table resident
-//          (fingerprints with --sample-bits low zero bits); hook hits
-//          load up to --champions similar segments, and the dedup loss
-//          from sampling is counted, never hidden. Like --framed, the
-//          choice is sticky: later commands detect an existing on-disk
-//          or sampled index and keep using it without the flag.
-//          --index-cache-mb=8   hot bucket-page cache budget (K/M/G
-//          suffixes accepted; bare number means MB)
-//          --index-bloom-bits-per-key=10   negative-lookup bloom sizing
-//          --sample-bits=6 --champions=10   sampled-tier geometry (the
-//          sample rate is fixed at repo creation; the meta object wins
-//          over a conflicting flag on reopen)
-//          --pipeline | --ingest-threads=N   staged concurrent ingest
-//          (N SHA-1 workers; 0 = serial; stored bytes are bit-identical)
-//          --framed    store with CRC32C self-verification framing.
-//          A framed repository is self-describing (a `framed` marker in
-//          the repo root): later commands detect it and read through the
-//          verifying layer without the flag — a framed repo can never be
-//          misread as raw bytes. examples/fsck_cli checks and repairs
-//          such repositories.
-//          --fault-plan=SPEC   inject deterministic storage faults below
-//          the framing, e.g. --fault-plan=torn@120:0.5,readerr@3x2,seed:7
-//          (see store/fault_backend.h for the mini-language)
-//          --container-mb=N   pack chunk data into fixed-size containers
-//          (the fragmentation-aware layout). Sticky like --framed: store
-//          drops a `container-size` marker recording the size and
-//          every later command reads through the container layer without
-//          the flag. --restore-cache-mb budgets the restore path's
-//          whole-container LRU cache.
-//          --rewrite=none|cbr|har   dedup-time fragmentation control on
-//          container repos: cbr caps distinct old containers per segment,
-//          har rewrites duplicates out of containers that went sparse.
+// Engine flags (--ecs=4096 --sd=64 --chunker --chunker-impl --hash-impl
+// --index-impl --sample-bits --champions --index-cache-mb
+// --index-bloom-bits-per-key --ingest-threads --pipeline-queue-depth
+// --framed --fault-plan --container-mb --restore-cache-mb --rewrite) are
+// bound by sim/engine_flags.h. The repository's chunker, ECS, SD, framing,
+// container size, index tier and sample bits are recorded in `repo.meta`
+// by the first mutating command; every later command, `serve` included,
+// loads them, so no flag has to be repeated, and a flag that contradicts
+// the record is an error. Repositories that predate repo.meta are adopted
+// once from their `framed`/`container-size` markers and index objects.
+// examples/fsck_cli checks and repairs framed repositories.
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <thread>
 
 #include "mhd/core/mhd_engine.h"
-#include "mhd/dedup/rewrite.h"
-#include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/metrics/metrics.h"
 #include "mhd/server/client.h"
 #include "mhd/server/daemon.h"
-#include "mhd/store/container_store.h"
-#include "mhd/store/fault_backend.h"
+#include "mhd/sim/engine_flags.h"
+#include "mhd/sim/storage_stack.h"
 #include "mhd/store/file_backend.h"
-#include "mhd/store/framed_backend.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/restore_reader.h"
 #include "mhd/store/scrub.h"
@@ -136,124 +102,27 @@ class FileSource final : public ByteSource {
   std::ifstream in_;
 };
 
-/// The durability stack every command talks to:
-///   FileBackend -> [FaultInjectingBackend] -> [FramedBackend]
-/// Faults are injected on the physical layer, below the framing that
-/// exists to detect them. `active()` is the top of whatever was enabled.
-class BackendStack {
- public:
-  BackendStack(const std::string& root, const Flags& flags) : file_(root) {
-    StorageBackend* top = &file_;
-    const auto plan = flags.get("fault-plan", "");
-    if (!plan.empty()) {
-      faulty_.emplace(*top, FaultPlan::parse(plan));
-      top = &*faulty_;
-    }
-    // Framing is a property of the repository, not of the invocation:
-    // `store --framed` drops a marker file so every later command reads
-    // through the verifying layer without the flag. Otherwise a restore
-    // that forgot --framed would return the framed bytes as payload.
-    const std::string marker = root + "/framed";
-    bool framed = flags.get_bool("framed", false);
-    if (!framed) {
-      if (std::FILE* f = std::fopen(marker.c_str(), "rb")) {
-        framed = true;
-        std::fclose(f);
-      }
-    } else if (std::FILE* f = std::fopen(marker.c_str(), "wb")) {
-      std::fclose(f);
-    }
-    if (framed) {
-      framed_.emplace(*top);
-      top = &*framed_;
-    }
-    // The container layout is likewise a repository property: the
-    // `container-size` marker records the container size chosen at store
-    // time, so restores/gc/scrub always resolve chunk names through the
-    // extent maps instead of expecting per-chunk objects. (It cannot be
-    // named `containers` — FileBackend owns a directory of that name.)
-    const std::string cmarker = root + "/container-size";
-    std::uint64_t container_bytes =
-        flags.get_size("container-mb", 0, 0, 1ull << 40, /*unit=*/1ull << 20);
-    if (container_bytes == 0) {
-      if (std::FILE* f = std::fopen(cmarker.c_str(), "rb")) {
-        unsigned long long v = 0;
-        if (std::fscanf(f, "%llu", &v) == 1) container_bytes = v;
-        std::fclose(f);
-      }
-    } else if (std::FILE* f = std::fopen(cmarker.c_str(), "wb")) {
-      std::fprintf(f, "%llu\n",
-                   static_cast<unsigned long long>(container_bytes));
-      std::fclose(f);
-    }
-    if (container_bytes != 0) {
-      ContainerConfig cc;
-      cc.container_bytes = container_bytes;
-      cc.cache_bytes =
-          flags.get_size("restore-cache-mb", cc.cache_bytes, 64ull << 10,
-                         1ull << 40, /*unit=*/1ull << 20);
-      containers_.emplace(*top, cc);
-      top = &*containers_;
-    }
-    active_ = top;
+/// One repository opened for one command: the engine config (flags bound
+/// over dedup_cli's defaults, reconciled with repo.meta) and the storage
+/// stack it names over the repository's FileBackend. Writers must hold
+/// store.lock; a conflicting flag throws before any file is touched.
+struct Repo {
+  Repo(const std::string& root, const Flags& flags, bool writer)
+      : config(resolve_repo_config(root, flags, cli_defaults(), writer)),
+        file(root),
+        stack(file, config) {}
+
+  static EngineConfig cli_defaults() {
+    EngineConfig d;
+    d.ecs = 4096;
+    d.sd = 64;
+    return d;
   }
 
-  StorageBackend& active() { return *active_; }
-  FileBackend& file() { return file_; }
-  ContainerBackend* containers() {
-    return containers_ ? &*containers_ : nullptr;
-  }
-
- private:
-  FileBackend file_;
-  std::optional<FaultInjectingBackend> faulty_;
-  std::optional<FramedBackend> framed_;
-  std::optional<ContainerBackend> containers_;
-  StorageBackend* active_ = nullptr;
+  EngineConfig config;
+  FileBackend file;
+  StorageStack stack;
 };
-
-EngineConfig config_from(const Flags& flags, const StorageBackend& backend) {
-  EngineConfig cfg;
-  // The index implementation is a property of the repository: once a
-  // persistent (disk or sampled) index exists, keep maintaining it even
-  // without the flag (an ignored on-disk index would silently go stale).
-  if (flags.has("index-impl")) {
-    const std::string impl =
-        flags.get_choice("index-impl", {"mem", "disk", "sampled"}, "mem");
-    cfg.index_impl = impl == "disk"      ? IndexImpl::kDisk
-                     : impl == "sampled" ? IndexImpl::kSampled
-                                         : IndexImpl::kMem;
-  } else if (index_present(backend)) {
-    cfg.index_impl = IndexImpl::kDisk;
-  } else if (sampled_index_present(backend)) {
-    cfg.index_impl = IndexImpl::kSampled;
-  } else {
-    cfg.index_impl = IndexImpl::kMem;
-  }
-  cfg.sample_bits = static_cast<std::uint32_t>(
-      flags.get_uint("sample-bits", cfg.sample_bits, 0, 64));
-  cfg.max_champions = static_cast<std::uint32_t>(
-      flags.get_uint("champions", cfg.max_champions, 1, 1024));
-  cfg.index_cache_bytes =
-      flags.get_size("index-cache-mb", cfg.index_cache_bytes, 64ull << 10,
-                     1ull << 40, /*unit=*/1ull << 20);
-  cfg.index_bloom_bits_per_key = static_cast<std::uint32_t>(
-      flags.get_uint("index-bloom-bits-per-key", 10, 1, 64));
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 4096));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 64));
-  cfg.chunker = chunker_kind_from_string(flags.get("chunker", "rabin"));
-  cfg.chunker_impl = chunker_impl_from_string(
-      flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-  cfg.hash_impl = sha1_impl_from_string(flags.get_choice(
-      "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  cfg.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-      "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
-  cfg.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
-  cfg.rewrite = *parse_rewrite_mode(
-      flags.get_choice("rewrite", {"none", "cbr", "capping", "har"}, "none"));
-  return cfg;
-}
 
 int cmd_store(const Flags& flags, bool verify_after) {
   const auto& args = flags.positional();
@@ -262,9 +131,9 @@ int cmd_store(const Flags& flags, bool verify_after) {
     return 2;
   }
   const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
-  ObjectStore store(stack.active());
-  MhdEngine engine(store, config_from(flags, stack.active()));
+  Repo repo(args[1], flags, /*writer=*/true);
+  ObjectStore store(repo.stack.top());
+  MhdEngine engine(store, repo.config);
 
   for (std::size_t i = 2; i < args.size(); ++i) {
     FileSource src(args[i]);
@@ -280,7 +149,7 @@ int cmd_store(const Flags& flags, bool verify_after) {
   // container so the repo on disk is all clean streams.
   engine.end_snapshot();
   engine.finish();
-  if (auto* containers = stack.containers()) {
+  if (auto* containers = repo.stack.containers()) {
     containers->flush();
     const auto s = containers->stats();
     const auto& rs = engine.counters();
@@ -353,9 +222,9 @@ int cmd_restore(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli restore <repo> <name> <out>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
+  Repo repo(args[1], flags, /*writer=*/false);
   // Streaming restore: O(buffer) memory regardless of image size.
-  auto reader = RestoreReader::open(stack.active(), args[2]);
+  auto reader = RestoreReader::open(repo.stack.top(), args[2]);
   if (!reader) {
     std::fprintf(stderr, "no such file in repo: %s\n", args[2].c_str());
     return 1;
@@ -375,7 +244,7 @@ int cmd_restore(const Flags& flags) {
   std::printf("restored %s -> %s (%llu bytes)\n", args[2].c_str(),
               args[3].c_str(),
               static_cast<unsigned long long>(reader->produced()));
-  if (auto* containers = stack.containers()) {
+  if (auto* containers = repo.stack.containers()) {
     const auto s = containers->stats();
     const double mb = reader->produced() / 1048576.0;
     std::printf("  container reads %llu (%.3f per MB), cache hits %llu, "
@@ -395,10 +264,10 @@ int cmd_delete(const Flags& flags) {
     return 2;
   }
   const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
+  Repo repo(args[1], flags, /*writer=*/true);
   int missing = 0;
   for (std::size_t i = 2; i < args.size(); ++i) {
-    if (delete_file(stack.active(), args[i])) {
+    if (delete_file(repo.stack.top(), args[i])) {
       std::printf("deleted %s (run 'gc' to reclaim space)\n", args[i].c_str());
     } else {
       std::fprintf(stderr, "not in repo: %s\n", args[i].c_str());
@@ -415,8 +284,8 @@ int cmd_gc(const Flags& flags) {
     return 2;
   }
   const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
-  const auto r = collect_garbage(stack.active());
+  Repo repo(args[1], flags, /*writer=*/true);
+  const auto r = collect_garbage(repo.stack.top());
   std::printf("gc: %llu live chunks kept, %llu chunks deleted (%.2f MB "
               "reclaimed), %llu manifests and %llu hooks removed\n",
               static_cast<unsigned long long>(r.live_chunks),
@@ -451,8 +320,8 @@ int cmd_scrub(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli scrub <repo>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
-  const auto r = scrub_repository(stack.active());
+  Repo repo(args[1], flags, /*writer=*/false);
+  const auto r = scrub_repository(repo.stack.top());
   std::printf("scrub: %llu filemanifests, %llu manifests (%llu opaque), "
               "%llu chunks, %llu hooks\n",
               static_cast<unsigned long long>(r.file_manifests),
@@ -500,8 +369,8 @@ int cmd_stats(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli stats <repo>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
-  StorageBackend& backend = stack.active();
+  Repo repo(args[1], flags, /*writer=*/false);
+  StorageBackend& backend = repo.stack.top();
   const auto m = MetadataBreakdown::from(backend);
   std::printf("repository %s\n", args[1].c_str());
   std::printf("  diskchunks    : %llu objects, %.2f MB\n",
@@ -533,14 +402,12 @@ int cmd_serve(const Flags& flags) {
   }
   // The daemon is THE single writer of the repository for its lifetime.
   const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
+  Repo repo(args[1], flags, /*writer=*/true);
 
   server::DaemonConfig dc;
   dc.listen = flags.get("listen", "unix:" + args[1] + "/daemon.sock");
   dc.max_sessions = static_cast<std::uint32_t>(
       flags.get_uint("max-sessions", 8, 1, 1024));
-  dc.session_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("session-queue-depth", 16, 1, 4096));
   dc.retry_after_ms = static_cast<std::uint32_t>(
       flags.get_uint("retry-after-ms", 100, 1, 60000));
   dc.quota.max_logical_bytes = flags.get_size(
@@ -549,7 +416,7 @@ int cmd_serve(const Flags& flags) {
   dc.idle_timeout_ms = static_cast<std::uint32_t>(
       flags.get_uint("idle-timeout-ms", 30'000, 0, 3'600'000));
   dc.net_fault_plan = flags.get("net-fault-plan", "");
-  dc.engine = config_from(flags, stack.active());
+  dc.engine = repo.config;
 
   // A daemon that may be restarted over a kill -9'd repository: repair
   // crash residue before accepting traffic, on the raw layer the offline
@@ -557,9 +424,9 @@ int cmd_serve(const Flags& flags) {
   if (flags.get_bool("fsck-on-start", false)) {
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
-    const FsckReport rep = fsck_repository(stack.file(), /*repair=*/true);
+    const FsckReport rep = fsck_repository(repo.file, /*repair=*/true);
     const bool clean =
-        rep.clean() || fsck_repository(stack.file(), /*repair=*/false).clean();
+        rep.clean() || fsck_repository(repo.file, /*repair=*/false).clean();
     std::printf("fsck-on-start: %s (%llu issues found, %llu repaired)\n",
                 clean ? "clean" : "damaged",
                 static_cast<unsigned long long>(rep.issues.size()),
@@ -571,7 +438,7 @@ int cmd_serve(const Flags& flags) {
     }
   }
 
-  server::DedupDaemon daemon(stack.active(), stack.file(), dc);
+  server::DedupDaemon daemon(repo.stack.top(), repo.file, dc);
   daemon.start();
   std::printf("dedup daemon listening on %s (max %u sessions)\n",
               daemon.listen_spec().c_str(), dc.max_sessions);

@@ -9,17 +9,19 @@
 //                    [--index-impl=mem|disk|sampled] [--index-cache-mb=8]
 //                    [--index-bloom-bits-per-key=10]
 //                    [--sample-bits=6] [--champions=10]
-//                    [--pipeline] [--ingest-threads=N]
+//                    [--ingest-threads=N]
 //                    [--framed] [--fault-plan=SPEC]
 //                    [--container-mb=N] [--rewrite=none|cbr|har]
 //                    [--cbr-segment-mb=4] [--cbr-cap=16] [--har-util=0.5]
 //                    [--restore-cache-mb=32] [--measure-restore]
 //                    [--verify] [--json]
 //
-// --pipeline enables the staged concurrent ingest (4 hash workers);
-// --ingest-threads=N picks the pool size explicitly (0 = serial). Results
-// are bit-identical either way; pipelined runs additionally report
-// per-stage busy/idle/queue-depth counters.
+// Engine flags are bound by sim/engine_flags.h (defaults here: ECS 1024,
+// SD 32); --cache_kb and the --cbr-*/--har-util tuning knobs are this
+// harness's own.
+// --ingest-threads=N enables the staged concurrent ingest with N hash
+// workers (0 = serial). Results are bit-identical either way; pipelined
+// runs additionally report per-stage busy/idle/queue-depth counters.
 // --index-impl=disk routes the fingerprint index through the persistent
 // sharded on-disk index (bounded RAM, warm restart); --index-cache-mb
 // bounds its hot bucket-page cache (accepts K/M/G suffixes, bare number =
@@ -45,6 +47,7 @@
 #include <cstdio>
 
 #include "mhd/metrics/json_export.h"
+#include "mhd/sim/engine_flags.h"
 #include "mhd/sim/runner.h"
 #include "mhd/util/flags.h"
 #include "mhd/util/table.h"
@@ -55,52 +58,27 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   RunSpec spec;
+  try {
+    // This harness's own knobs shape the base the engine flags bind over.
+    EngineConfig base;
+    base.ecs = 1024;
+    base.sd = 32;
+    base.manifest_cache_bytes =
+        static_cast<std::uint64_t>(flags.get_int("cache_kb", 256)) << 10;
+    base.manifest_cache_capacity = 4096;
+    base.cbr_segment_bytes =
+        flags.get_size("cbr-segment-mb", base.cbr_segment_bytes,
+                       64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
+    base.cbr_cap = static_cast<std::uint32_t>(
+        flags.get_uint("cbr-cap", base.cbr_cap, 1, 65536));
+    base.har_utilization =
+        flags.get_double("har-util", base.har_utilization);
+    spec.engine = bind_engine_flags(flags, base);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad flag: %s\n", e.what());
+    return 2;
+  }
   spec.algorithm = flags.get("algo", "bf-mhd");
-  spec.engine.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
-  spec.engine.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
-  spec.engine.chunker =
-      chunker_kind_from_string(flags.get("chunker", "rabin"));
-  spec.engine.chunker_impl = chunker_impl_from_string(
-      flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-  spec.engine.hash_impl = sha1_impl_from_string(flags.get_choice(
-      "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  spec.engine.manifest_cache_bytes =
-      static_cast<std::uint64_t>(flags.get_int("cache_kb", 256)) << 10;
-  spec.engine.manifest_cache_capacity = 4096;
-  const std::string index_impl =
-      flags.get_choice("index-impl", {"mem", "disk", "sampled"}, "mem");
-  spec.engine.index_impl = index_impl == "disk"      ? IndexImpl::kDisk
-                           : index_impl == "sampled" ? IndexImpl::kSampled
-                                                     : IndexImpl::kMem;
-  spec.engine.sample_bits = static_cast<std::uint32_t>(
-      flags.get_uint("sample-bits", spec.engine.sample_bits, 0, 64));
-  spec.engine.max_champions = static_cast<std::uint32_t>(
-      flags.get_uint("champions", spec.engine.max_champions, 1, 1024));
-  spec.engine.index_cache_bytes =
-      flags.get_size("index-cache-mb", spec.engine.index_cache_bytes,
-                     64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.index_bloom_bits_per_key = static_cast<std::uint32_t>(
-      flags.get_uint("index-bloom-bits-per-key", 10, 1, 64));
-  spec.engine.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-      "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
-  spec.engine.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
-  spec.engine.framed = flags.get_bool("framed", false);
-  spec.engine.fault_plan = flags.get("fault-plan", "");
-  spec.engine.container_bytes =
-      flags.get_size("container-mb", 0, 0, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.rewrite = *parse_rewrite_mode(
-      flags.get_choice("rewrite", {"none", "cbr", "capping", "har"}, "none"));
-  spec.engine.cbr_segment_bytes =
-      flags.get_size("cbr-segment-mb", spec.engine.cbr_segment_bytes,
-                     64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.cbr_cap = static_cast<std::uint32_t>(
-      flags.get_uint("cbr-cap", spec.engine.cbr_cap, 1, 65536));
-  spec.engine.har_utilization =
-      flags.get_double("har-util", spec.engine.har_utilization);
-  spec.engine.restore_cache_bytes =
-      flags.get_size("restore-cache-mb", spec.engine.restore_cache_bytes,
-                     64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
   spec.verify = flags.get_bool("verify", false);
   spec.measure_restore = flags.get_bool("measure-restore", false);
 

@@ -1,6 +1,7 @@
 #include "mhd/core/mhd_engine.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "mhd/chunk/chunk_stream.h"
 #include "mhd/chunk/rabin_chunker.h"
@@ -14,6 +15,8 @@ MhdEngine::MhdEngine(ObjectStore& store, const EngineConfig& config)
              config.manifest_cache_bytes, &fp_index()),
       bloom_(config.bloom_bytes),
       extender_(store, cache_, cfg_, counters_) {
+  // SD is the hook spacing: every group of SD new chunks gets one hook.
+  if (cfg_.sd == 0) throw std::invalid_argument("MhdEngine: sd must be >= 1");
   if (cfg_.use_bloom) seed_bloom_from_hooks(bloom_, store.backend());
   restore_warm_state(cache_);
 }

@@ -248,13 +248,8 @@ class DedupEngine {
   /// Resolved index implementation name for reports
   /// ("mem" | "disk" | "sampled").
   const char* index_impl_name() const {
-    if (fp_index_) return fp_index_->impl_name();
-    switch (cfg_.index_impl) {
-      case IndexImpl::kDisk: return "disk";
-      case IndexImpl::kSampled: return "sampled";
-      case IndexImpl::kMem: break;
-    }
-    return "mem";
+    return fp_index_ ? fp_index_->impl_name()
+                     : mhd::index_impl_name(cfg_.index_impl);
   }
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }

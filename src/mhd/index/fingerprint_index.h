@@ -33,6 +33,16 @@ namespace mhd {
 /// (--index-impl). kMem is bit-identical to the pre-index behavior.
 enum class IndexImpl { kMem, kDisk, kSampled };
 
+/// "mem" | "disk" | "sampled" — the --index-impl spelling.
+inline const char* index_impl_name(IndexImpl impl) {
+  switch (impl) {
+    case IndexImpl::kDisk: return "disk";
+    case IndexImpl::kSampled: return "sampled";
+    case IndexImpl::kMem: break;
+  }
+  return "mem";
+}
+
 /// What a fingerprint resolves to: the manifest that indexes the chunk,
 /// plus the chunk's offset in its DiskChunk (advisory; rebuilt entries
 /// carry offset 0 — engines confirm through the manifest anyway).

@@ -292,6 +292,14 @@ bool sampled_index_present(const StorageBackend& backend) {
   return SampledIndex::present(backend);
 }
 
+std::optional<std::uint32_t> sampled_index_sample_bits(
+    const StorageBackend& backend) {
+  const auto meta_payload = get_unsealed(backend, kMetaName);
+  const auto meta = meta_payload ? parse_meta(*meta_payload) : std::nullopt;
+  if (!meta) return std::nullopt;
+  return meta->sample_bits;
+}
+
 SampledCheckReport check_sampled_index(const StorageBackend& backend) {
   SampledCheckReport report;
   const auto meta_payload = get_unsealed(backend, kMetaName);

@@ -151,6 +151,11 @@ class SampledIndex final : public FingerprintIndex {
 /// True when the backend holds a sampled similarity tier.
 bool sampled_index_present(const StorageBackend& backend);
 
+/// The sample rate the tier's meta object records; nullopt when there is
+/// no readable meta (works on the raw and the logical view alike).
+std::optional<std::uint32_t> sampled_index_sample_bits(
+    const StorageBackend& backend);
+
 /// Read-only cross-check of the sampled tier against live manifests
 /// (fsck integration; never mutates the backend).
 struct SampledCheckReport {

@@ -163,7 +163,6 @@ DedupDaemon::DedupDaemon(StorageBackend& active, StorageBackend& raw,
                          DaemonConfig cfg)
     : sync_(active), raw_(raw), cfg_(std::move(cfg)) {
   if (cfg_.max_sessions == 0) cfg_.max_sessions = 1;
-  if (cfg_.session_queue_depth == 0) cfg_.session_queue_depth = 1;
   if (!cfg_.net_fault_plan.empty()) {
     net_fault_plan_ = NetFaultPlan::parse(cfg_.net_fault_plan);
   }
@@ -792,15 +791,10 @@ std::string DedupDaemon::build_stats_json(bool reset_histograms) const {
   json += ",\"busy_rejections\":" + std::to_string(busy_rejections_.load());
   json += ",\"maintenance_runs\":" + std::to_string(maintenance_runs_.load());
   json += ",\"max_sessions\":" + std::to_string(cfg_.max_sessions);
-  json += ",\"session_queue_depth\":" +
-          std::to_string(cfg_.session_queue_depth);
-  // Resolved per-tenant engine routing (stickiness already applied by the
+  // Resolved per-tenant engine routing (repo.meta already applied by the
   // caller's config), so clients can see which index tier serves them.
   json += std::string(",\"index_impl\":\"") +
-          (cfg_.engine.index_impl == IndexImpl::kDisk      ? "disk"
-           : cfg_.engine.index_impl == IndexImpl::kSampled ? "sampled"
-                                                           : "mem") +
-          "\"";
+          index_impl_name(cfg_.engine.index_impl) + "\"";
   if (cfg_.engine.index_impl == IndexImpl::kSampled) {
     json += ",\"sample_bits\":" + std::to_string(cfg_.engine.sample_bits);
   }

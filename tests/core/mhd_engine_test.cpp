@@ -30,6 +30,14 @@ TEST(MhdEngine, ReconstructsSingleFile) {
   testutil::expect_reconstructs(engine, files);
 }
 
+TEST(MhdEngine, RejectsZeroSampleDistance) {
+  MemoryBackend backend;
+  ObjectStore store(backend);
+  EngineConfig cfg = small_config();
+  cfg.sd = 0;
+  EXPECT_THROW(MhdEngine(store, cfg), std::invalid_argument);
+}
+
 TEST(MhdEngine, ShmManifestShape) {
   MemoryBackend backend;
   ObjectStore store(backend);
