@@ -86,6 +86,28 @@ void chunker_bench(benchmark::State& state, std::uint32_t ecs) {
                           static_cast<std::int64_t>(data.size()));
 }
 
+/// The same 4 MiB cut as eight 512 KiB files with a new chunker each, as
+/// DedupEngine::open_ingest builds one per file: adds the per-file
+/// construction cost that chunker_bench amortizes away.
+template <typename ChunkerT>
+void chunker_per_file_bench(benchmark::State& state, std::uint32_t ecs) {
+  constexpr std::size_t kFileBytes = 512 << 10;
+  const ByteVec data = make_data(4 << 20);
+  for (auto _ : state) {
+    std::size_t chunks = 0;
+    for (std::size_t off = 0; off < data.size(); off += kFileBytes) {
+      ChunkerT chunker{ChunkerConfig::from_expected(ecs)};
+      MemorySource src(ByteSpan(data).subspan(off, kFileBytes));
+      ChunkStream stream(src, chunker);
+      ByteVec chunk;
+      while (stream.next(chunk)) ++chunks;
+    }
+    benchmark::DoNotOptimize(chunks);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+
 void BM_RabinChunker(benchmark::State& state) {
   chunker_bench<RabinChunker>(state, static_cast<std::uint32_t>(state.range(0)));
 }
@@ -95,6 +117,18 @@ void BM_TttdChunker(benchmark::State& state) {
   chunker_bench<TttdChunker>(state, static_cast<std::uint32_t>(state.range(0)));
 }
 BENCHMARK(BM_TttdChunker)->Arg(4096);
+
+void BM_RabinChunkerPerFile(benchmark::State& state) {
+  chunker_per_file_bench<RabinChunker>(
+      state, static_cast<std::uint32_t>(state.range(0)));
+}
+BENCHMARK(BM_RabinChunkerPerFile)->Arg(4096);
+
+void BM_TttdChunkerPerFile(benchmark::State& state) {
+  chunker_per_file_bench<TttdChunker>(
+      state, static_cast<std::uint32_t>(state.range(0)));
+}
+BENCHMARK(BM_TttdChunkerPerFile)->Arg(4096);
 
 void BM_BloomFilter(benchmark::State& state) {
   BloomFilter bf(4 << 20);

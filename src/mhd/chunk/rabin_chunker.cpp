@@ -59,22 +59,22 @@ Chunker::ScanResult RabinChunker::scan(ByteSpan data) {
     i += skip;
   }
 
-  while (i < n) {
-    if (pos_ >= config_.max_size) {
-      reset();
-      return {i, true};
-    }
-    const std::uint64_t f = fp_.push(data[i]);
-    ++i;
-    ++pos_;
-    if (pos_ >= config_.min_size && (f & mask_) == magic_) {
-      reset();
-      return {i, true};
-    }
-    if (pos_ >= config_.max_size) {
-      reset();
-      return {i, true};
-    }
+  // pos_ < max_size here, so the span ends at the data or at the forced
+  // cut, whichever comes first.
+  const std::size_t limit = std::min(n - i, config_.max_size - pos_);
+  const std::size_t start = pos_;
+  const std::size_t min_size = config_.min_size;
+  const std::uint64_t mask = mask_;
+  const std::uint64_t magic = magic_;
+  const auto r = fp_.roll_until(
+      data.subspan(i, limit), [=](std::uint64_t f, std::size_t k) {
+        return start + k >= min_size && (f & mask) == magic;
+      });
+  i += r.rolled;
+  pos_ += r.rolled;
+  if (r.stopped || pos_ >= config_.max_size) {
+    reset();
+    return {i, true};
   }
   return {i, false};
 }

@@ -49,26 +49,37 @@ Chunker::ScanResult TttdChunker::scan(ByteSpan data) {
     i += skip;
   }
 
-  while (i < n) {
-    const std::uint64_t f = fp_.push(data[i]);
-    ++i;
-    ++pos_;
-    if (pos_ >= config_.min_size) {
-      if ((f & main_mask_) == (magic_ & main_mask_)) {
-        reset();
-        return {i, true};
-      }
-      if ((f & backup_mask_) == (magic_ & backup_mask_)) {
-        backup_pos_ = pos_;
-      }
-    }
-    if (pos_ >= config_.max_size) {
-      const std::size_t back =
-          (backup_pos_ >= config_.min_size) ? pos_ - backup_pos_ : 0;
-      reset();
-      cut_back_ = back;
-      return {i, true};
-    }
+  // pos_ < max_size here, so the span ends at the data or at the forced
+  // cut, whichever comes first.
+  const std::size_t limit = std::min(n - i, config_.max_size - pos_);
+  const std::size_t start = pos_;
+  const std::size_t min_size = config_.min_size;
+  const std::uint64_t main_mask = main_mask_;
+  const std::uint64_t main_magic = magic_ & main_mask_;
+  const std::uint64_t backup_mask = backup_mask_;
+  const std::uint64_t backup_magic = magic_ & backup_mask_;
+  std::size_t backup_pos = backup_pos_;
+  const auto r = fp_.roll_until(
+      data.subspan(i, limit), [&](std::uint64_t f, std::size_t k) {
+        const std::size_t pos = start + k;
+        if (pos < min_size) return false;
+        if ((f & main_mask) == main_magic) return true;
+        if ((f & backup_mask) == backup_magic) backup_pos = pos;
+        return false;
+      });
+  i += r.rolled;
+  pos_ += r.rolled;
+  backup_pos_ = backup_pos;
+  if (r.stopped) {
+    reset();
+    return {i, true};
+  }
+  if (pos_ >= config_.max_size) {
+    const std::size_t back =
+        (backup_pos_ >= config_.min_size) ? pos_ - backup_pos_ : 0;
+    reset();
+    cut_back_ = back;
+    return {i, true};
   }
   return {i, false};
 }
