@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives:
-// SHA-1 hashing, Rabin fingerprint rolling, the chunkers, the bloom
-// filter, and the synthetic content generator. These set the CPU-cost
-// context for the ThroughputRatio results.
+// SHA-1 hashing, CRC32C and the framed-stream read, Rabin fingerprint
+// rolling, the chunkers, the bloom filter, and the synthetic content
+// generator. These set the CPU-cost context for the ThroughputRatio
+// results.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,6 +13,9 @@
 #include "mhd/chunk/tttd_chunker.h"
 #include "mhd/container/bloom_filter.h"
 #include "mhd/hash/sha1.h"
+#include "mhd/store/framed_backend.h"
+#include "mhd/store/memory_backend.h"
+#include "mhd/util/crc32c.h"
 #include "mhd/util/random.h"
 #include "mhd/workload/block_source.h"
 
@@ -58,6 +62,48 @@ void register_sha1_throughput() {
     bench->Arg(1024)->Arg(4096)->Arg(65536)->Arg(1 << 20);
   }
 }
+
+/// Per-kernel CRC32C GB/s at a small record, a typical chunk record and a
+/// whole container; registered in main() for the kernels the host runs.
+void BM_Crc32cKernel(benchmark::State& state, Crc32cFn fn) {
+  const ByteVec data = make_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fn(0, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void register_crc32c_kernels() {
+  for (const Crc32cKernelInfo& k : crc32c_kernels()) {
+    if (!k.supported) continue;
+    const std::string name = std::string("BM_Crc32cKernel/") + k.name;
+    auto* bench = benchmark::RegisterBenchmark(
+        name.c_str(),
+        [fn = k.fn](benchmark::State& s) { BM_Crc32cKernel(s, fn); });
+    bench->Arg(512)->Arg(4096)->Arg(4 << 20);
+  }
+}
+
+/// One verified read of a sealed 4 MiB container stream of 4 KiB records,
+/// the unit of work of a cold restore's container load.
+void BM_FramedStreamGet(benchmark::State& state) {
+  constexpr std::size_t kRecord = 4096;
+  const ByteVec data = make_data(4 << 20);
+  MemoryBackend raw;
+  FramedBackend framed(raw);
+  for (std::size_t off = 0; off < data.size(); off += kRecord) {
+    framed.append(Ns::kContainer, "c",
+                  ByteSpan(data).subspan(off, kRecord));
+  }
+  framed.seal(Ns::kContainer, "c");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(framed.get(Ns::kContainer, "c"));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_FramedStreamGet);
 
 void BM_RabinRoll(benchmark::State& state) {
   const ByteVec data = make_data(1 << 16);
@@ -159,6 +205,7 @@ BENCHMARK(BM_BlockSourceFill);
 
 int main(int argc, char** argv) {
   mhd::register_sha1_throughput();
+  mhd::register_crc32c_kernels();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

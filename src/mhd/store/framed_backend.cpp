@@ -1,5 +1,7 @@
 #include "mhd/store/framed_backend.h"
 
+#include <utility>
+
 #include "mhd/store/framing.h"
 #include "mhd/store/store_errors.h"
 
@@ -9,6 +11,13 @@ namespace {
 
 bool is_stream(Ns ns) {
   return ns == Ns::kDiskChunk || ns == Ns::kContainer;
+}
+
+CorruptObjectError stream_error(Ns ns, const std::string& name,
+                                const framing::RecordScan& scan) {
+  return CorruptObjectError(ns, name,
+                            scan.corrupt ? "record CRC/structure mismatch"
+                                         : "torn or unsealed record stream");
 }
 
 }  // namespace
@@ -65,14 +74,12 @@ void FramedBackend::append(Ns ns, const std::string& name, ByteSpan data) {
 ByteVec FramedBackend::verified_get(Ns ns, const std::string& name,
                                     const ByteVec& framed) const {
   if (is_stream(ns)) {
-    const auto scan = framing::scan_records(framed);
-    if (auto payload = framing::extract_stream(framed)) return *payload;
-    throw CorruptObjectError(
-        ns, name,
-        scan.corrupt ? "record CRC/structure mismatch"
-                     : "torn or unsealed record stream");
+    ByteVec payload;
+    const auto scan = framing::scan_records(framed, &payload);
+    if (!scan.clean()) throw stream_error(ns, name, scan);
+    return payload;
   }
-  if (auto payload = framing::unseal_object(framed)) return *payload;
+  if (auto payload = framing::unseal_object(framed)) return std::move(*payload);
   throw CorruptObjectError(ns, name, "trailer CRC/structure mismatch");
 }
 
@@ -87,10 +94,19 @@ std::optional<ByteVec> FramedBackend::get_range(Ns ns, const std::string& name,
                                                 std::uint64_t offset,
                                                 std::uint64_t length) const {
   // Every range read re-verifies the whole object: the framing exists to
-  // guarantee no silently-wrong byte ever leaves the store, and chunks are
-  // small enough (MBs) that the CRC pass is cheap next to the I/O.
+  // guarantee no silently-wrong byte ever leaves the store. A stream's walk
+  // checks every record's CRC but copies out only the requested bytes.
   const auto framed = inner_.get(ns, name);
   if (!framed) return std::nullopt;
+  if (is_stream(ns)) {
+    ByteVec out;
+    const auto scan = framing::scan_records(*framed, &out, {offset, length});
+    if (!scan.clean()) throw stream_error(ns, name, scan);
+    if (offset > scan.logical_bytes || length > scan.logical_bytes - offset) {
+      return std::nullopt;
+    }
+    return out;
+  }
   const ByteVec payload = verified_get(ns, name, *framed);
   if (offset > payload.size() || length > payload.size() - offset) {
     return std::nullopt;

@@ -1,5 +1,6 @@
 #include "mhd/store/framing.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -55,7 +56,40 @@ ByteVec seal_record(std::uint64_t logical_length) {
   return out;
 }
 
-RecordScan scan_records(ByteSpan framed) {
+namespace {
+
+/// The logical length the tail seal claims, when the stream ends in
+/// something shaped like a seal record; nullopt otherwise, and then the
+/// stream cannot be clean. Unverified: the walk checks the seal's CRC and
+/// its agreement with the records when it reaches it.
+std::optional<std::uint64_t> claimed_length(ByteSpan framed) {
+  if (framed.size() < kSealBytes) return std::nullopt;
+  const Byte* s = framed.data() + framed.size() - kSealBytes;
+  if (load_le<std::uint32_t>(s) != kSealMagic ||
+      load_le<std::uint32_t>(s + 4) != 8) {
+    return std::nullopt;
+  }
+  return load_le<std::uint64_t>(s + kHeaderBytes);
+}
+
+}  // namespace
+
+RecordScan scan_records(ByteSpan framed, ByteVec* out, LogicalRange range) {
+  // Logical bytes [copy_from, copy_to) are copied to *out. Records of a
+  // clean stream never reach past the seal's claim, and a claim beyond the
+  // framed size is a lie, so *out never outgrows its one reservation.
+  std::uint64_t copy_from = 0;
+  std::uint64_t copy_to = 0;
+  if (out != nullptr) {
+    out->clear();
+    const auto claim = claimed_length(framed);
+    if (claim && *claim <= framed.size() && range.offset < *claim) {
+      copy_from = range.offset;
+      copy_to = copy_from + std::min(range.length, *claim - copy_from);
+      out->reserve(static_cast<std::size_t>(copy_to - copy_from));
+    }
+  }
+
   RecordScan scan;
   std::size_t pos = 0;
   while (pos + kHeaderBytes <= framed.size()) {
@@ -88,6 +122,12 @@ RecordScan scan_records(ByteSpan framed) {
       if (pos != framed.size()) scan.corrupt = true;  // bytes after the seal
       return scan;
     }
+    const std::uint64_t first = std::max(scan.logical_bytes, copy_from);
+    const std::uint64_t last = std::min(scan.logical_bytes + len, copy_to);
+    if (first < last) {
+      mhd::append(*out, payload.subspan(first - scan.logical_bytes,
+                                        last - first));
+    }
     pos += kHeaderBytes + len;
     scan.logical_bytes += len;
     scan.valid_prefix = pos;
@@ -100,19 +140,8 @@ RecordScan scan_records(ByteSpan framed) {
 }
 
 std::optional<ByteVec> extract_stream(ByteSpan framed) {
-  const RecordScan scan = scan_records(framed);
-  if (!scan.sealed || scan.corrupt || scan.torn) return std::nullopt;
   ByteVec out;
-  out.reserve(scan.logical_bytes);
-  std::size_t pos = 0;
-  while (pos + kHeaderBytes <= framed.size()) {
-    const Byte* h = framed.data() + pos;
-    const std::uint32_t magic = load_le<std::uint32_t>(h);
-    const std::uint32_t len = load_le<std::uint32_t>(h + 4);
-    if (magic == kSealMagic) break;
-    append(out, framed.subspan(pos + kHeaderBytes, len));
-    pos += kHeaderBytes + len;
-  }
+  if (!scan_records(framed, &out).clean()) return std::nullopt;
   return out;
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "mhd/util/bytes.h"
@@ -65,13 +66,31 @@ struct RecordScan {
   bool sealed = false;  ///< a valid, length-matching seal terminates it
   bool corrupt = false;  ///< bad magic / CRC mismatch / bytes after seal
   bool torn = false;     ///< ends mid-record or without a seal
+
+  bool clean() const { return sealed && !corrupt && !torn; }
+};
+
+/// A span of logical (payload) bytes, clamped to the stream's length.
+struct LogicalRange {
+  std::uint64_t offset = 0;
+  std::uint64_t length = std::numeric_limits<std::uint64_t>::max();
 };
 
 /// Walks `framed`, stopping at the first defect. A clean stream has
 /// sealed && !corrupt && !torn. `valid_prefix`/`logical_bytes` describe
 /// the salvageable prefix even when the tail is torn — fsck truncates to
 /// valid_prefix and appends seal_record(logical_bytes) to repair.
-RecordScan scan_records(ByteSpan framed);
+///
+/// With `out` set, the same walk also unframes: each record's share of
+/// `range` is appended to *out right after its CRC checks out, so a read
+/// touches every payload byte once for the CRC and once for the copy.
+/// *out is reserved once, exactly, from the length the tail seal claims,
+/// capped at the framed size because that claim is not yet verified.
+/// *out holds the range only when the scan comes back clean(); otherwise
+/// its contents are unspecified (nothing is copied when the tail holds no
+/// believable seal, and never more than the seal claims).
+RecordScan scan_records(ByteSpan framed, ByteVec* out = nullptr,
+                        LogicalRange range = {});
 
 /// Concatenated payload of a clean, sealed stream; nullopt otherwise.
 std::optional<ByteVec> extract_stream(ByteSpan framed);

@@ -181,7 +181,7 @@ FsckReport fsck_repository(StorageBackend& raw, bool repair) {
       const auto bytes = raw.get(stream_ns, name);
       if (!bytes) continue;
       const auto scan = framing::scan_records(*bytes);
-      if (scan.sealed && !scan.corrupt && !scan.torn) {
+      if (scan.clean()) {
         ++rep.clean_objects;
         logical.emplace(name, scan.logical_bytes);
         continue;

@@ -8,10 +8,12 @@
 // tests/util/crc32c_test.cpp):
 //
 //  * portable — slice-by-8 table lookup; runs anywhere.
-//  * sse42    — the x86 crc32 instruction (8 bytes per issue), compiled
-//    with a per-function target attribute so the binary stays runnable on
-//    any x86-64; availability is a runtime CPUID question
-//    (util/cpufeatures), never a compile-time one.
+//  * sse42    — the x86 crc32 instruction (8 bytes per issue) in three
+//    independent lanes over 3 × 8 KiB, then 3 × 256 B, then 3 × 64 B
+//    blocks, merged with zero-shift tables; tails under 192 bytes run as
+//    one chain. Compiled with a per-function target attribute so the
+//    binary stays runnable on any x86-64; availability is a runtime CPUID
+//    question (util/cpufeatures), never a compile-time one.
 //
 // The API follows zlib's chaining convention: `crc` is the running value,
 // 0 for a fresh stream, and crc32c(crc32c(0, a), b) == crc32c(0, a ++ b).

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/store_errors.h"
@@ -131,6 +133,63 @@ TEST(Framing, BytesAfterSealAreCorrupt) {
   EXPECT_TRUE(framing::scan_records(stream).corrupt);
 }
 
+TEST(Framing, FusedWalkUnframesCleanStream) {
+  ByteVec stream;
+  ByteVec logical;
+  for (const std::string part : {"alpha", "", "beta-gamma", "d"}) {
+    mhd::append(stream, framing::frame_record(as_bytes(part)));
+    mhd::append(logical, as_bytes(part));
+  }
+  mhd::append(stream, framing::seal_record(logical.size()));
+
+  ByteVec out;
+  const auto scan = framing::scan_records(stream, &out);
+  EXPECT_TRUE(scan.clean());
+  EXPECT_EQ(out, logical);
+  EXPECT_EQ(out.capacity(), logical.size());  // one exact reservation
+
+  // Every sub-range, across record boundaries, copies just those bytes.
+  for (std::size_t off = 0; off <= logical.size(); ++off) {
+    for (std::size_t len = 0; off + len <= logical.size(); ++len) {
+      ByteVec part;
+      EXPECT_TRUE(framing::scan_records(stream, &part, {off, len}).clean());
+      const auto from = logical.begin() + static_cast<std::ptrdiff_t>(off);
+      EXPECT_EQ(part, ByteVec(from, from + static_cast<std::ptrdiff_t>(len)))
+          << "off " << off << " len " << len;
+      EXPECT_EQ(part.capacity(), len);
+    }
+  }
+}
+
+TEST(Framing, HostileSealClaimIsCorruptWithoutOverAllocation) {
+  ByteVec records = framing::frame_record(as_bytes("aaaa"));
+  mhd::append(records, framing::frame_record(as_bytes("bbbb")));
+
+  // Each seal carries a valid CRC, so only its claim gives it away: 2^63
+  // bytes, and a claim larger than the records hold that still fits the
+  // framed size.
+  for (const std::uint64_t claim :
+       {std::uint64_t{1} << 63, std::uint64_t{8 + 9}}) {
+    ByteVec stream = records;
+    mhd::append(stream, framing::seal_record(claim));
+
+    ByteVec out;
+    const auto scan = framing::scan_records(stream, &out);
+    EXPECT_TRUE(scan.corrupt) << claim;
+    EXPECT_FALSE(scan.sealed) << claim;
+    EXPECT_EQ(scan.records, 2u) << claim;
+    EXPECT_LE(out.capacity(), stream.size()) << claim;
+    EXPECT_FALSE(framing::extract_stream(stream).has_value()) << claim;
+
+    MemoryBackend raw;
+    raw.put(Ns::kContainer, "c0", stream);
+    FramedBackend framed(raw);
+    EXPECT_THROW(framed.get(Ns::kContainer, "c0"), CorruptObjectError);
+    EXPECT_THROW(framed.get_range(Ns::kContainer, "c0", 0, 4),
+                 CorruptObjectError);
+  }
+}
+
 // --- FramedBackend -------------------------------------------------------
 
 TEST(FramedBackend, LogicalViewMatchesBareBackend) {
@@ -210,6 +269,23 @@ TEST(FramedBackend, TornChunkThrowsOnRead) {
   raw.put(Ns::kDiskChunk, "c0", phys);
   EXPECT_THROW(framed.get(Ns::kDiskChunk, "c0"), CorruptObjectError);
   EXPECT_THROW(framed.get_range(Ns::kDiskChunk, "c0", 0, 4),
+               CorruptObjectError);
+}
+
+TEST(FramedBackend, StreamRangeReadChecksEveryRecord) {
+  MemoryBackend raw;
+  FramedBackend framed(raw);
+  for (const std::string part : {"0123", "4567", "89ab"}) {
+    framed.append(Ns::kDiskChunk, "c0", as_bytes(part));
+  }
+  framed.seal(Ns::kDiskChunk, "c0");
+  EXPECT_EQ(framed.get_range(Ns::kDiskChunk, "c0", 3, 6), bytes_of("345678"));
+
+  // Rot in the last record still fails a range that ends before it.
+  ByteVec phys = *raw.get(Ns::kDiskChunk, "c0");
+  phys[3 * framing::kHeaderBytes + 8 + 1] ^= 0x04;
+  raw.put(Ns::kDiskChunk, "c0", phys);
+  EXPECT_THROW(framed.get_range(Ns::kDiskChunk, "c0", 0, 2),
                CorruptObjectError);
 }
 

@@ -47,29 +47,39 @@ TEST(Crc32c, ChainingMatchesOneShot) {
 }
 
 TEST(Crc32c, KernelsAreBitIdentical) {
+  // Up to 1 MiB + 5 so the sse42 kernel's 3 × 8 KiB, 3 × 256 B and
+  // 3 × 64 B lanes, their merges and the single-chain tail are all reached.
+  constexpr std::size_t kMaxLen = (std::size_t{1} << 20) + 5;
   Xoshiro256 rng(11);
-  ByteVec buf(8192 + 16);
+  ByteVec buf(kMaxLen + 8);
   for (auto& b : buf) b = static_cast<Byte>(rng());
 
   int exercised = 0;
   for (const auto& k : crc32c_kernels()) {
     if (!k.supported) continue;
     ++exercised;
-    // Sweep lengths around word boundaries and all 8 alignments.
+    // Sweep lengths around word boundaries and each lane threshold, at all
+    // 8 alignments, from a fresh and from chained (nonzero) seeds.
     for (std::size_t align = 0; align < 8; ++align) {
       for (const std::size_t len :
            {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
             std::size_t{8}, std::size_t{9}, std::size_t{15}, std::size_t{16},
             std::size_t{63}, std::size_t{64}, std::size_t{65},
-            std::size_t{255}, std::size_t{1024}, std::size_t{8191}}) {
-        const std::uint32_t want =
-            crc32c_portable(0, buf.data() + align, len);
-        EXPECT_EQ(k.fn(0, buf.data() + align, len), want)
-            << k.name << " align=" << align << " len=" << len;
-        // Nonzero seed chaining too.
-        EXPECT_EQ(k.fn(0xDEADBEEF, buf.data() + align, len),
-                  crc32c_portable(0xDEADBEEF, buf.data() + align, len))
-            << k.name << " align=" << align << " len=" << len;
+            std::size_t{255}, std::size_t{1024}, std::size_t{8191},
+            std::size_t{3 * 64 - 1}, std::size_t{3 * 64},
+            std::size_t{3 * 64 + 1}, std::size_t{512},
+            std::size_t{3 * 256 - 1}, std::size_t{3 * 256},
+            std::size_t{3 * 256 + 1}, std::size_t{2 * 3 * 256 + 9},
+            std::size_t{3 * 8192 - 1}, std::size_t{3 * 8192},
+            std::size_t{3 * 8192 + 1}, std::size_t{3 * 8192 + 3 * 256 + 13},
+            kMaxLen}) {
+        for (const std::uint32_t seed :
+             {0u, 0xDEADBEEFu, 0xFFFFFFFFu, 0x00000001u}) {
+          EXPECT_EQ(k.fn(seed, buf.data() + align, len),
+                    crc32c_portable(seed, buf.data() + align, len))
+              << k.name << " align=" << align << " len=" << len
+              << " seed=" << seed;
+        }
       }
     }
   }
@@ -89,6 +99,22 @@ TEST(Crc32c, RandomBuffersAcrossKernels) {
       if (!k.supported) continue;
       EXPECT_EQ(k.fn(0, buf.data(), buf.size()), want)
           << k.name << " i=" << i;
+    }
+  }
+  // Long buffers at random alignments and seeds, past several lane blocks.
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t len = rng.below(4 * 3 * 8192);
+    const std::size_t align = rng.below(8);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    ByteVec buf(len + align);
+    for (auto& b : buf) b = static_cast<Byte>(rng());
+    const Byte* data = buf.data() + align;
+    const std::uint32_t want = crc32c_portable(seed, data, len);
+    EXPECT_EQ(crc32c(seed, {data, len}), want) << "long i=" << i;
+    for (const auto& k : crc32c_kernels()) {
+      if (!k.supported) continue;
+      EXPECT_EQ(k.fn(seed, data, len), want)
+          << k.name << " long i=" << i << " len=" << len;
     }
   }
 }
