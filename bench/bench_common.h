@@ -8,7 +8,8 @@
 //   --cache_kb=N    equal manifest-cache RAM budget per algorithm (256)
 //   --verify        byte-exact reconstruction check after every run (slow)
 // plus every engine flag of sim/engine_flags.h (--chunker, --chunker-impl,
-// --ingest-threads, --hash-impl, ...), bound over SD 32.
+// --hash-impl, ...), bound over SD 32. Unlike dedup_cli and run_experiment
+// the harnesses do not reject unknown flags.
 //
 // Scaling note (EXPERIMENTS.md discusses this in detail): the paper used a
 // 1.0 TB corpus with SD=1000, i.e. hundreds of hooks per 5 GB disk image.

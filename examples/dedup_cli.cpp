@@ -50,14 +50,16 @@
 //
 // Engine flags (--ecs=4096 --sd=64 --chunker --chunker-impl --hash-impl
 // --index-impl --sample-bits --champions --index-cache-mb
-// --index-bloom-bits-per-key --ingest-threads --pipeline-queue-depth
-// --framed --fault-plan --container-mb --restore-cache-mb --rewrite) are
-// bound by sim/engine_flags.h. The repository's chunker, ECS, SD, framing,
-// container size, index tier and sample bits are recorded in `repo.meta`
-// by the first mutating command; every later command, `serve` included,
-// loads them, so no flag has to be repeated, and a flag that contradicts
-// the record is an error. Repositories that predate repo.meta are adopted
-// once from their `framed`/`container-size` markers and index objects.
+// --index-bloom-bits-per-key --framed --fault-plan --container-mb
+// --restore-cache-mb --rewrite) are bound by sim/engine_flags.h. Any flag
+// that is neither an engine flag nor one of the daemon/client flags above
+// is an error (exit 1, naming the flag), checked before anything runs.
+// The repository's chunker, ECS, SD, framing, container size, index tier
+// and sample bits are recorded in `repo.meta` by the first mutating
+// command; every later command, `serve` included, loads them, so no flag
+// has to be repeated, and a flag that contradicts the record is an
+// error. Repositories that predate repo.meta are adopted once from their
+// `framed`/`container-size` markers and index objects.
 // examples/fsck_cli checks and repairs framed repositories.
 #include <unistd.h>
 
@@ -187,14 +189,6 @@ int cmd_store(const Flags& flags, bool verify_after) {
                   static_cast<unsigned long long>(
                       sampled->missed_dup_chunks()));
     }
-  }
-  for (const auto& s : engine.pipeline_stats().stages) {
-    std::printf("  stage %-5s: %2u thread(s), %8llu items, %8.2f MB, "
-                "busy %.3fs, idle %.3fs, queue max %llu\n",
-                s.stage.c_str(), s.threads,
-                static_cast<unsigned long long>(s.items),
-                s.bytes / 1048576.0, s.busy_seconds, s.idle_seconds,
-                static_cast<unsigned long long>(s.queue_high_water));
   }
 
   if (verify_after) {
@@ -588,6 +582,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
+    mhd::reject_unknown_flags(
+        flags, {"listen", "max-sessions", "retry-after-ms", "tenant-quota-mb",
+                "tenant-quota-files", "idle-timeout-ms", "serve-seconds",
+                "fsck-on-start", "net-fault-plan", "retries",
+                "retry-budget-ms", "reset"});
     if (args[0] == "store") return cmd_store(flags, /*verify_after=*/false);
     if (args[0] == "verify") return cmd_store(flags, /*verify_after=*/true);
     if (args[0] == "restore") return cmd_restore(flags);

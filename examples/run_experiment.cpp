@@ -9,7 +9,6 @@
 //                    [--index-impl=mem|disk|sampled] [--index-cache-mb=8]
 //                    [--index-bloom-bits-per-key=10]
 //                    [--sample-bits=6] [--champions=10]
-//                    [--ingest-threads=N]
 //                    [--framed] [--fault-plan=SPEC]
 //                    [--container-mb=N] [--rewrite=none|cbr|har]
 //                    [--cbr-segment-mb=4] [--cbr-cap=16] [--har-util=0.5]
@@ -18,10 +17,7 @@
 //
 // Engine flags are bound by sim/engine_flags.h (defaults here: ECS 1024,
 // SD 32); --cache_kb and the --cbr-*/--har-util tuning knobs are this
-// harness's own.
-// --ingest-threads=N enables the staged concurrent ingest with N hash
-// workers (0 = serial). Results are bit-identical either way; pipelined
-// runs additionally report per-stage busy/idle/queue-depth counters.
+// harness's own. Any other flag is an error (exit 2, naming the flag).
 // --index-impl=disk routes the fingerprint index through the persistent
 // sharded on-disk index (bounded RAM, warm restart); --index-cache-mb
 // bounds its hot bucket-page cache (accepts K/M/G suffixes, bare number =
@@ -59,6 +55,9 @@ int main(int argc, char** argv) {
 
   RunSpec spec;
   try {
+    reject_unknown_flags(
+        flags, {"algo", "size_mb", "seed", "cache_kb", "cbr-segment-mb",
+                "cbr-cap", "har-util", "verify", "measure-restore", "json"});
     // This harness's own knobs shape the base the engine flags bind over.
     EngineConfig base;
     base.ecs = 1024;
@@ -160,24 +159,5 @@ int main(int argc, char** argv) {
                TextTable::num(r.counters.corruption_fallbacks)});
   }
   std::printf("%s", t.to_string().c_str());
-
-  if (!r.pipeline.empty()) {
-    std::printf("\ningest pipeline (%u hash workers, %llu files)\n",
-                r.ingest_threads,
-                static_cast<unsigned long long>(r.pipeline.files));
-    TextTable p({"Stage", "Threads", "Items", "MB", "Busy s", "Idle s",
-                 "Util", "Queue HWM"});
-    for (const auto& s : r.pipeline.stages) {
-      p.add_row({s.stage,
-                 TextTable::num(static_cast<std::uint64_t>(s.threads)),
-                 TextTable::num(s.items),
-                 TextTable::num(s.bytes / 1048576.0, 1),
-                 TextTable::num(s.busy_seconds, 3),
-                 TextTable::num(s.idle_seconds, 3),
-                 TextTable::num(s.utilization() * 100, 1) + "%",
-                 TextTable::num(s.queue_high_water)});
-    }
-    std::printf("%s", p.to_string().c_str());
-  }
   return 0;
 }

@@ -153,7 +153,7 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
   ctx.dig = unique_store_digest(file_digest(file_name));
   ctx.manifest = Manifest(ctx.dig);
 
-  const auto stream = open_ingest(data, cfg_.ecs);
+  auto stream = open_ingest(data, cfg_.ecs);
 
   auto pull_chunk = [&]() -> std::optional<StreamChunk> {
     if (!ctx.inbox.empty()) {
@@ -163,7 +163,7 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
     }
     ByteVec bytes;
     StreamChunk c;
-    if (!stream->next(bytes, c.hash)) return std::nullopt;
+    if (!stream.next(bytes, c.hash)) return std::nullopt;
     c.file_offset = ctx.file_offset;
     ctx.file_offset += bytes.size();
     counters_.input_bytes += bytes.size();

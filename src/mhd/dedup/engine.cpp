@@ -7,7 +7,6 @@
 #include "mhd/index/mem_index.h"
 #include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
-#include "mhd/pipeline/ingest_pipeline.h"
 #include "mhd/util/buffer_pool.h"
 #include "mhd/util/hex.h"
 #include "mhd/util/timer.h"
@@ -99,12 +98,11 @@ Digest DedupEngine::unique_store_digest(const Digest& base) const {
   return d;
 }
 
-std::unique_ptr<HashedChunkStream> DedupEngine::open_ingest(
-    ByteSource& data, std::uint64_t expected_chunk_bytes) {
-  auto chunker =
-      make_chunker(cfg_.chunker, cfg_.chunker_config(expected_chunk_bytes));
-  return open_hashed_stream(data, std::move(chunker), cfg_.ingest_threads,
-                            cfg_.pipeline_queue_depth, &pipeline_stats_);
+HashedChunkStream DedupEngine::open_ingest(ByteSource& data,
+                                           std::uint64_t expected_chunk_bytes) {
+  return HashedChunkStream(
+      data,
+      make_chunker(cfg_.chunker, cfg_.chunker_config(expected_chunk_bytes)));
 }
 
 void DedupEngine::add_file(const std::string& file_name, ByteSource& data) {

@@ -13,21 +13,32 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "mhd/chunk/byte_source.h"
+#include "mhd/chunk/chunk_stream.h"
 #include "mhd/chunk/make_chunker.h"
 #include "mhd/container/bloom_filter.h"
 #include "mhd/dedup/rewrite.h"
 #include "mhd/hash/sha1.h"
 #include "mhd/index/fingerprint_index.h"
-#include "mhd/pipeline/hashed_chunk_stream.h"
-#include "mhd/pipeline/stage.h"
 #include "mhd/store/object_store.h"
 #include "mhd/store/store_errors.h"
 
 namespace mhd {
 
 class ManifestCache;
+
+// Kept only for perfbench's pipeline.* layers; engines ingest serially.
+struct StageStats {
+  std::string stage;
+  double busy_seconds = 0;
+  double idle_seconds = 0;
+};
+// Kept only for perfbench's pipeline.* layers; always empty.
+struct PipelineStats {
+  std::vector<StageStats> stages;
+};
 
 struct EngineConfig {
   std::uint32_t ecs = 4096;  ///< expected (small) chunk size, bytes
@@ -52,15 +63,8 @@ struct EngineConfig {
     return cc;
   }
 
-  /// Hash-worker pool size for the staged ingest pipeline
-  /// (--ingest-threads). 0 = serial ingest: read, chunk and SHA-1 run
-  /// inline on the caller's thread. N >= 1 runs the pipelined path
-  /// (read → chunk → N hash workers → reorder → dedup); results are
-  /// bit-identical either way — this is purely a throughput knob.
-  std::uint32_t ingest_threads = 0;
-  /// Bounded capacity of each inter-stage queue, in chunks. Caps the
-  /// memory held by in-flight chunks and the reorder window.
-  std::uint32_t pipeline_queue_depth = 64;
+  /// Kept only for perfbench's provenance record; ingest is always serial.
+  static constexpr std::uint32_t ingest_threads = 0;
 
   bool use_bloom = true;
   std::size_t bloom_bytes = 4 << 20;  ///< paper: 100 MB; scaled for corpus
@@ -228,9 +232,8 @@ class DedupEngine {
   const EngineCounters& counters() const { return counters_; }
   const EngineConfig& config() const { return cfg_; }
 
-  /// Per-stage ingest-pipeline counters aggregated over all add_file
-  /// calls. Empty when the engine ran serially (ingest_threads == 0).
-  const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
+  /// Kept only for perfbench's pipeline.* layers; always empty.
+  PipelineStats pipeline_stats() const { return {}; }
 
   /// Manifests loaded from disk into the cache (the paper's TABLE V).
   virtual std::uint64_t manifest_loads() const { return 0; }
@@ -270,12 +273,9 @@ class DedupEngine {
   virtual void process_file(const std::string& file_name, ByteSource& data) = 0;
 
   /// Opens the top-level ingest stream over `data` with a chunker of the
-  /// engine's configured kind at `expected_chunk_bytes`: serial when
-  /// cfg_.ingest_threads == 0, the staged concurrent pipeline otherwise.
-  /// Chunk boundaries, hashes and delivery order are identical either way,
-  /// so engines use this without caring which path runs underneath.
-  std::unique_ptr<HashedChunkStream> open_ingest(
-      ByteSource& data, std::uint64_t expected_chunk_bytes);
+  /// engine's configured kind at `expected_chunk_bytes`.
+  HashedChunkStream open_ingest(ByteSource& data,
+                                std::uint64_t expected_chunk_bytes);
 
   /// Lazily creates the configured FingerprintIndex (MemIndex or
   /// PersistentIndex over the store's backend). Callable from derived
@@ -379,7 +379,6 @@ class DedupEngine {
 
  private:
   bool in_dup_run_ = false;
-  PipelineStats pipeline_stats_;
   std::unique_ptr<FingerprintIndex> fp_index_;
   std::unique_ptr<RewriteController> rewrite_;
   bool index_was_present_ = false;  ///< disk index existed before open

@@ -59,11 +59,11 @@ void ExtremeBinningEngine::process_file(const std::string& file_name,
   // Chunk the whole file first: Extreme Binning needs the representative
   // (minimum) chunk hash before it can pick a bin.
   std::vector<std::pair<Digest, ByteVec>> chunks;
-  const auto stream = open_ingest(data, cfg_.ecs);
+  auto stream = open_ingest(data, cfg_.ecs);
   ByteVec bytes;
   Digest hash;
   std::optional<Digest> representative;
-  while (stream->next(bytes, hash)) {
+  while (stream.next(bytes, hash)) {
     counters_.input_bytes += bytes.size();
     ++counters_.input_chunks;
     if (!representative || hash < *representative) representative = hash;

@@ -200,7 +200,7 @@ void SparseIndexEngine::process_file(const std::string& file_name,
 
   const std::uint64_t segment_bytes = static_cast<std::uint64_t>(cfg_.ecs) *
                                       cfg_.sd * cfg_.segment_factor;
-  const auto stream = open_ingest(data, cfg_.ecs);
+  auto stream = open_ingest(data, cfg_.ecs);
 
   std::vector<SegChunk> segment;
   std::uint64_t segment_fill = 0;
@@ -208,7 +208,7 @@ void SparseIndexEngine::process_file(const std::string& file_name,
 
   ByteVec bytes;
   SegChunk c;
-  while (stream->next(bytes, c.hash)) {
+  while (stream.next(bytes, c.hash)) {
     counters_.input_bytes += bytes.size();
     ++counters_.input_chunks;
     segment_fill += bytes.size();

@@ -91,20 +91,7 @@ std::string to_json(const ExperimentResult& r) {
       << ",\"sampled_missed_dup_chunks\":" << r.sampled_missed_dup_chunks
       << ",\"total_disk_accesses\":" << r.stats.total_accesses()
       << ",\"dedup_seconds\":" << num(r.dedup_seconds)
-      << ",\"copy_seconds\":" << num(r.copy_seconds)
-      << ",\"ingest_threads\":" << r.ingest_threads
-      << ",\"pipeline\":[";
-  for (std::size_t i = 0; i < r.pipeline.stages.size(); ++i) {
-    const StageStats& s = r.pipeline.stages[i];
-    out << (i == 0 ? "" : ",") << "{\"stage\":\"" << json_escape(s.stage)
-        << "\",\"threads\":" << s.threads << ",\"items\":" << s.items
-        << ",\"bytes\":" << s.bytes
-        << ",\"busy_seconds\":" << num(s.busy_seconds)
-        << ",\"idle_seconds\":" << num(s.idle_seconds)
-        << ",\"utilization\":" << num(s.utilization())
-        << ",\"queue_high_water\":" << s.queue_high_water << "}";
-  }
-  out << "]}";
+      << ",\"copy_seconds\":" << num(r.copy_seconds) << "}";
   return out.str();
 }
 

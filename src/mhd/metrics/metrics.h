@@ -107,11 +107,6 @@ struct ExperimentResult {
   std::uint64_t sampled_missed_dup_bytes = 0;
   std::uint64_t sampled_missed_dup_chunks = 0;
 
-  /// Staged-ingest configuration and per-stage observability (empty when
-  /// the run ingested serially, i.e. ingest_threads == 0).
-  std::uint32_t ingest_threads = 0;
-  PipelineStats pipeline;
-
   // Container store + rewrite (zero/"none" without --container-mb).
   std::uint64_t container_bytes = 0;  ///< configured container size
   std::string rewrite_mode = "none";

@@ -1,5 +1,6 @@
 #include "mhd/sim/engine_flags.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -73,6 +74,17 @@ void check_conflicts(const RepoMeta& recorded, const RepoMeta& given,
 
 }  // namespace
 
+void reject_unknown_flags(const Flags& flags,
+                          std::initializer_list<std::string_view> own_keys) {
+  for (const std::string& key : flags.keys()) {
+    const auto known = [&key](std::string_view k) { return k == key; };
+    if (std::none_of(kEngineFlagKeys.begin(), kEngineFlagKeys.end(), known) &&
+        std::none_of(own_keys.begin(), own_keys.end(), known)) {
+      throw std::invalid_argument("unknown flag: --" + key);
+    }
+  }
+}
+
 EngineConfig bind_engine_flags(const Flags& flags, const EngineConfig& defaults,
                                bool ecs_sweep) {
   EngineConfig cfg = defaults;
@@ -103,11 +115,6 @@ EngineConfig bind_engine_flags(const Flags& flags, const EngineConfig& defaults,
       get_mb(flags, "index-cache-mb", cfg.index_cache_bytes, 64ull << 10);
   cfg.index_bloom_bits_per_key = get_u32(flags, "index-bloom-bits-per-key",
                                          cfg.index_bloom_bits_per_key, 1, 64);
-
-  cfg.ingest_threads =
-      get_u32(flags, "ingest-threads", cfg.ingest_threads, 0, 256);
-  cfg.pipeline_queue_depth = get_u32(flags, "pipeline-queue-depth",
-                                     cfg.pipeline_queue_depth, 1, 65536);
 
   cfg.framed = flags.get_bool("framed", cfg.framed);
   cfg.fault_plan = flags.get("fault-plan", cfg.fault_plan);

@@ -7,21 +7,36 @@
 //   --chunker-impl=auto|scalar|simd  --hash-impl=auto|shani|simd|portable
 //   --index-impl=mem|disk|sampled  --sample-bits=N  --champions=N
 //   --index-cache-mb=N  --index-bloom-bits-per-key=N
-//   --ingest-threads=N (0 = serial)  --pipeline-queue-depth=N
 //   --framed  --fault-plan=SPEC  --container-mb=N  --restore-cache-mb=N
 //   --rewrite=none|cbr|capping|har
 // Every value is range-checked; a bad one throws std::invalid_argument
 // naming the flag. Each binary passes its own defaults (dedup_cli keeps
 // ECS 4096 / SD 64, run_experiment and the bench harnesses 1024 / 32), so
 // existing repositories and recorded experiment numbers do not move.
+// A binary rejects every flag that is neither an engine flag nor its own
+// (reject_unknown_flags), so a removed or misspelt flag is an error.
 #pragma once
 
+#include <array>
 #include <filesystem>
+#include <initializer_list>
+#include <string_view>
 
 #include "mhd/dedup/engine.h"
 #include "mhd/util/flags.h"
 
 namespace mhd {
+
+/// Every key bind_engine_flags reads.
+inline constexpr std::array<std::string_view, 15> kEngineFlagKeys = {
+    "ecs", "sd", "chunker", "chunker-impl", "hash-impl", "index-impl",
+    "sample-bits", "champions", "index-cache-mb", "index-bloom-bits-per-key",
+    "framed", "fault-plan", "container-mb", "restore-cache-mb", "rewrite"};
+
+/// Throws std::invalid_argument naming the first flag in `flags` that is
+/// neither in kEngineFlagKeys nor one of the binary's `own_keys`.
+void reject_unknown_flags(const Flags& flags,
+                          std::initializer_list<std::string_view> own_keys);
 
 /// `defaults` with every engine flag present in `flags` applied. With
 /// `ecs_sweep` the caller owns --ecs (a bench harness's comma-separated

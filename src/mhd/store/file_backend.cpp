@@ -1,6 +1,12 @@
 #include "mhd/store/file_backend.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 
 #include "mhd/store/store_errors.h"
@@ -31,6 +37,53 @@ void write_all_or_throw(const fs::path& p, ByteSpan data,
   if (out.fail()) {
     throw BackendIoError("FileBackend: close failed for " + p.string());
   }
+}
+
+BackendIoError io_error(const char* what, const fs::path& p, int err) {
+  return BackendIoError("FileBackend: " + std::string(what) + " " +
+                        p.string() + ": " + std::strerror(err));
+}
+
+/// Reads the bytes [offset, offset + length) of the object file `p`, or
+/// everything from `offset` on when `length` is empty. Absent (ENOENT),
+/// or a range past the end, is nullopt; anything else that stops the read
+/// — a directory or other non-regular file at the path, an open, stat or
+/// read error, a file that shrinks mid-read — throws BackendIoError.
+std::optional<ByteVec> read_object(const fs::path& p, std::uint64_t offset,
+                                   std::optional<std::uint64_t> length) {
+  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw io_error("cannot open", p, errno);
+  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) throw io_error("cannot stat", p, errno);
+  if (!S_ISREG(st.st_mode)) {
+    throw BackendIoError("FileBackend: not a regular file: " + p.string());
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  // Checked as two comparisons: `offset + length` can wrap u64.
+  if (offset > size) return std::nullopt;
+  const std::uint64_t n = length.value_or(size - offset);
+  if (n > size - offset) return std::nullopt;
+  ByteVec out(static_cast<std::size_t>(n));
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t got =
+        ::pread(fd, out.data() + done, out.size() - done,
+                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) throw io_error("cannot read", p, errno);
+    if (got == 0) {
+      throw BackendIoError("FileBackend: short read of " + p.string());
+    }
+    done += static_cast<std::size_t>(got);
+  }
+  return out;
 }
 
 }  // namespace
@@ -112,32 +165,13 @@ void FileBackend::append(Ns ns, const std::string& name, ByteSpan data) {
 }
 
 std::optional<ByteVec> FileBackend::get(Ns ns, const std::string& name) const {
-  const fs::path p = path_for(ns, name);
-  std::ifstream in(p, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const auto size = in.tellg();
-  in.seekg(0);
-  ByteVec out(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(out.data()), size);
-  if (!in) return std::nullopt;
-  return out;
+  return read_object(path_for(ns, name), 0, std::nullopt);
 }
 
 std::optional<ByteVec> FileBackend::get_range(Ns ns, const std::string& name,
                                               std::uint64_t offset,
                                               std::uint64_t length) const {
-  const fs::path p = path_for(ns, name);
-  std::ifstream in(p, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const std::uint64_t size = static_cast<std::uint64_t>(in.tellg());
-  // Checked as two comparisons: `offset + length` can wrap u64.
-  if (offset > size || length > size - offset) return std::nullopt;
-  in.seekg(static_cast<std::streamoff>(offset));
-  ByteVec out(static_cast<std::size_t>(length));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(length));
-  if (!in) return std::nullopt;
-  return out;
+  return read_object(path_for(ns, name), offset, length);
 }
 
 bool FileBackend::exists(Ns ns, const std::string& name) const {

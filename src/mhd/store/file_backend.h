@@ -17,6 +17,8 @@ class FileBackend final : public StorageBackend {
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
   void append(Ns ns, const std::string& name, ByteSpan data) override;
+  /// Reads: an absent object is nullopt; any other failure (a directory
+  /// at the object's path, an open or read error) throws BackendIoError.
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override;
   std::optional<ByteVec> get_range(Ns ns, const std::string& name,
                                    std::uint64_t offset,

@@ -52,7 +52,7 @@ class FramedBackend final : public StorageBackend {
   const StorageBackend& inner() const { return inner_; }
 
   /// Framed bytes actually stored below — physical − logical is the
-  /// framing overhead reported by the pipeline bench.
+  /// framing overhead (pinned by tests/integration/framed_equivalence_test).
   std::uint64_t physical_bytes(Ns ns) const { return inner_.content_bytes(ns); }
 
  private:

@@ -24,6 +24,13 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+std::vector<std::string> Flags::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& kv : values_) out.push_back(kv.first);
+  return out;
+}
+
 std::string Flags::get(const std::string& key, const std::string& def) const {
   const auto it = values_.find(key);
   return it == values_.end() ? def : it->second;

@@ -56,6 +56,8 @@ class Flags {
                                          std::vector<std::int64_t> def) const;
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
+  /// Keys of every --flag given, sorted.
+  std::vector<std::string> keys() const;
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:

@@ -1,7 +1,10 @@
-// The one flag → EngineConfig binder: caller defaults, range checks, and
-// the rejections that used to crash or wrap (--sd=0, --ecs=-1).
+// The one flag → EngineConfig binder: caller defaults, range checks, the
+// rejections that used to crash or wrap (--sd=0, --ecs=-1), and the
+// unknown-flag check that keeps a removed or misspelt flag from silently
+// doing nothing.
 #include "mhd/sim/engine_flags.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -32,20 +35,24 @@ TEST(EngineFlags, AbsentFlagsKeepTheCallersDefaults) {
   EXPECT_EQ(exp.sd, 32u);
   EXPECT_EQ(exp.chunker, ChunkerKind::kRabin);
   EXPECT_EQ(exp.index_impl, IndexImpl::kMem);
-  EXPECT_EQ(exp.ingest_threads, 0u);
   EXPECT_FALSE(exp.framed);
 }
 
 TEST(EngineFlags, BindsEveryEngineFlag) {
-  const EngineConfig cfg = bind_engine_flags(
-      make_flags({"--ecs=2048", "--sd=16", "--chunker=gear",
-                  "--chunker-impl=scalar", "--hash-impl=portable",
-                  "--index-impl=sampled", "--sample-bits=4", "--champions=3",
-                  "--index-cache-mb=1", "--index-bloom-bits-per-key=12",
-                  "--ingest-threads=2", "--pipeline-queue-depth=8",
-                  "--framed", "--fault-plan=seed:7", "--container-mb=2",
-                  "--restore-cache-mb=4", "--rewrite=har"}),
-      defaults(4096, 64));
+  const Flags flags = make_flags(
+      {"--ecs=2048", "--sd=16", "--chunker=gear", "--chunker-impl=scalar",
+       "--hash-impl=portable", "--index-impl=sampled", "--sample-bits=4",
+       "--champions=3", "--index-cache-mb=1", "--index-bloom-bits-per-key=12",
+       "--framed", "--fault-plan=seed:7", "--container-mb=2",
+       "--restore-cache-mb=4", "--rewrite=har"});
+  // The exported key list is exactly the set of flags bound here.
+  const std::vector<std::string> given = flags.keys();
+  std::vector<std::string> listed(kEngineFlagKeys.begin(),
+                                  kEngineFlagKeys.end());
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(given, listed);
+
+  const EngineConfig cfg = bind_engine_flags(flags, defaults(4096, 64));
   EXPECT_EQ(cfg.ecs, 2048u);
   EXPECT_EQ(cfg.sd, 16u);
   EXPECT_EQ(cfg.chunker, ChunkerKind::kGear);
@@ -56,8 +63,6 @@ TEST(EngineFlags, BindsEveryEngineFlag) {
   EXPECT_EQ(cfg.max_champions, 3u);
   EXPECT_EQ(cfg.index_cache_bytes, 1ull << 20);
   EXPECT_EQ(cfg.index_bloom_bits_per_key, 12u);
-  EXPECT_EQ(cfg.ingest_threads, 2u);
-  EXPECT_EQ(cfg.pipeline_queue_depth, 8u);
   EXPECT_TRUE(cfg.framed);
   EXPECT_EQ(cfg.fault_plan, "seed:7");
   EXPECT_EQ(cfg.container_bytes, 2ull << 20);
@@ -104,14 +109,41 @@ TEST(EngineFlags, EcsSweepIsLeftToTheCaller) {
   EXPECT_EQ(cfg.sd, 8u);
 }
 
-TEST(EngineFlags, IngestThreadsIsTheOnlySpellingOfThePipeline) {
-  EXPECT_EQ(bind_engine_flags(make_flags({"--pipeline"}), defaults(4096, 64))
-                .ingest_threads,
-            0u);
-  EXPECT_EQ(bind_engine_flags(make_flags({"--ingest-threads=4"}),
-                              defaults(4096, 64))
-                .ingest_threads,
-            4u);
+/// The message reject_unknown_flags throws, or "" when it accepts.
+std::string rejection(const std::vector<std::string>& args,
+                      std::initializer_list<std::string_view> own_keys) {
+  try {
+    reject_unknown_flags(make_flags(args), own_keys);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EngineFlags, RemovedPipelineFlagsAreUnknown) {
+  EXPECT_EQ(rejection({"--ingest-threads=4"}, {}),
+            "unknown flag: --ingest-threads");
+  EXPECT_EQ(rejection({"--pipeline-queue-depth=8"}, {"algo"}),
+            "unknown flag: --pipeline-queue-depth");
+  EXPECT_EQ(rejection({"--pipeline"}, {}), "unknown flag: --pipeline");
+}
+
+TEST(EngineFlags, UnknownFlagIsNamedAmongKnownOnes) {
+  EXPECT_EQ(rejection({"--ecs=1024", "--ecs-size=2048", "--json"}, {"json"}),
+            "unknown flag: --ecs-size");
+  // A binary's own key is known to that binary only.
+  EXPECT_EQ(rejection({"--listen=unix:/x"}, {}), "unknown flag: --listen");
+}
+
+TEST(EngineFlags, EngineAndOwnFlagsAreAccepted) {
+  std::vector<std::string> args;
+  for (const std::string_view key : kEngineFlagKeys) {
+    args.push_back("--" + std::string(key) + "=1");
+  }
+  args.push_back("--json");
+  args.push_back("positional-argument");
+  EXPECT_EQ(rejection(args, {"json"}), "");
+  EXPECT_EQ(rejection({}, {}), "");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "mhd/store/file_backend.h"
 #include "mhd/store/memory_backend.h"
+#include "mhd/store/store_errors.h"
 
 namespace mhd {
 namespace {
@@ -41,6 +42,7 @@ TEST_P(BackendTest, PutGetRoundTrip) {
 
 TEST_P(BackendTest, GetMissingReturnsNullopt) {
   EXPECT_FALSE(backend_->get(Ns::kHook, "nope").has_value());
+  EXPECT_FALSE(backend_->get_range(Ns::kHook, "nope", 0, 0).has_value());
 }
 
 TEST_P(BackendTest, NamespacesAreIsolated) {
@@ -68,11 +70,22 @@ TEST_P(BackendTest, GetRange) {
   const auto got = backend_->get_range(Ns::kDiskChunk, "r", 10, 5);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (ByteVec{10, 11, 12, 13, 14}));
+  const auto at_end = backend_->get_range(Ns::kDiskChunk, "r", 100, 0);
+  ASSERT_TRUE(at_end.has_value());
+  EXPECT_TRUE(at_end->empty());
+
+  backend_->put(Ns::kDiskChunk, "empty", ByteVec{});
+  const auto empty = backend_->get(Ns::kDiskChunk, "empty");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST_P(BackendTest, GetRangeBeyondEndFails) {
   backend_->put(Ns::kDiskChunk, "r", ByteVec{1, 2, 3});
   EXPECT_FALSE(backend_->get_range(Ns::kDiskChunk, "r", 2, 5).has_value());
+  EXPECT_FALSE(backend_->get_range(Ns::kDiskChunk, "r", 4, 0).has_value());
+  EXPECT_FALSE(
+      backend_->get_range(Ns::kDiskChunk, "r", 1, UINT64_MAX).has_value());
   EXPECT_FALSE(backend_->get_range(Ns::kDiskChunk, "absent", 0, 1).has_value());
 }
 
@@ -124,6 +137,32 @@ TEST(FileBackend, AdoptsExistingContent) {
   const auto got = reopened.get(Ns::kDiskChunk, "keep");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->size(), 10u);
+  std::filesystem::remove_all(dir);
+}
+
+// A directory where an object should be is damage, not absence: both
+// reads throw the typed BackendIoError naming the path.
+TEST(FileBackend, DirectoryAtObjectPathIsAnIoError) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mhd_planted_dir_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  FileBackend b(dir);
+  const auto planted = dir / ns_name(Ns::kDiskChunk) / "planted";
+  std::filesystem::create_directories(planted);
+  for (const bool range : {false, true}) {
+    try {
+      if (range) {
+        b.get_range(Ns::kDiskChunk, "planted", 0, 1);
+      } else {
+        b.get(Ns::kDiskChunk, "planted");
+      }
+      ADD_FAILURE() << "read of a directory returned, range=" << range;
+    } catch (const BackendIoError& e) {
+      EXPECT_NE(std::string(e.what()).find(planted.string()),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

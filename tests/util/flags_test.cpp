@@ -86,16 +86,16 @@ TEST(Flags, HashImplChoiceVocabulary) {
 }
 
 TEST(Flags, UintParsesAndDefaults) {
-  const auto f = make_flags({"--ingest-threads=8"});
-  EXPECT_EQ(f.get_uint("ingest-threads", 0), 8u);
+  const auto f = make_flags({"--max-sessions=8"});
+  EXPECT_EQ(f.get_uint("max-sessions", 0), 8u);
   EXPECT_EQ(f.get_uint("missing", 4), 4u);
 }
 
 TEST(Flags, UintEnforcesRange) {
-  const auto f = make_flags({"--ingest-threads=300"});
-  EXPECT_THROW(f.get_uint("ingest-threads", 0, 0, 256),
+  const auto f = make_flags({"--max-sessions=300"});
+  EXPECT_THROW(f.get_uint("max-sessions", 0, 0, 256),
                std::invalid_argument);
-  EXPECT_EQ(f.get_uint("ingest-threads", 0, 0, 512), 300u);
+  EXPECT_EQ(f.get_uint("max-sessions", 0, 0, 512), 300u);
   const auto g = make_flags({"--depth=0"});
   EXPECT_THROW(g.get_uint("depth", 1, 1, 100), std::invalid_argument);
 }
@@ -182,6 +182,12 @@ TEST(Flags, CollectsPositional) {
   const auto f = make_flags({"input.img", "--x=1", "out.img"});
   EXPECT_EQ(f.positional(),
             (std::vector<std::string>{"input.img", "out.img"}));
+}
+
+TEST(Flags, KeysListsEveryFlagSortedWithoutPositionals) {
+  const auto f = make_flags({"--zeta=1", "input.img", "--alpha", "--mid=x"});
+  EXPECT_EQ(f.keys(), (std::vector<std::string>{"alpha", "mid", "zeta"}));
+  EXPECT_TRUE(make_flags({"only.img"}).keys().empty());
 }
 
 }  // namespace
