@@ -11,8 +11,8 @@
 //  2. Container-store restore tradeoff: ingest the multi-generation corpus
 //     through the real container store under --rewrite=none|cbr|har and
 //     *actually restore* every generation through the bounded-cache
-//     restore path, measuring restore MB/s, containers-read-per-MB and
-//     CFL per generation — the fragmentation-accumulation curve the
+//     restore path, measuring restore MB/s, containers-read-per-MB, CFL
+//     and the container bytes read per restored byte per generation — the fragmentation-accumulation curve the
 //     rewrite algorithms exist to flatten — against the dedup ratio each
 //     mode gave up. --json-out=FILE dumps the curve (BENCH_restore.json).
 #include <fstream>
@@ -167,12 +167,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  TextTable rt({"Rewrite", "Gen", "Restore MB/s", "Containers/MB", "CFL"});
+  TextTable rt({"Rewrite", "Gen", "Restore MB/s", "Containers/MB", "CFL",
+                 "Read MB", "Read amp"});
   for (const auto& p : curve) {
     rt.add_row({p.mode, TextTable::num(static_cast<std::uint64_t>(p.generation)),
                 TextTable::num(p.m.mb_per_s(), 1),
                 TextTable::num(p.m.containers_read_per_mb(), 3),
-                TextTable::num(p.m.cfl, 3)});
+                TextTable::num(p.m.cfl, 3),
+                TextTable::num(p.m.container_read_bytes / 1048576.0, 2),
+                TextTable::num(p.m.read_amp(), 3)});
   }
   std::printf("%s\n", rt.to_string().c_str());
 
@@ -214,6 +217,7 @@ int main(int argc, char** argv) {
           << ", \"bytes\": " << p.m.bytes
           << ", \"restore_mb_per_s\": " << p.m.mb_per_s()
           << ", \"container_reads\": " << p.m.container_reads
+          << ", \"container_read_bytes\": " << p.m.container_read_bytes
           << ", \"containers_read_per_mb\": " << p.m.containers_read_per_mb()
           << ", \"cfl\": " << p.m.cfl << "}";
     }

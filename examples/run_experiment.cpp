@@ -37,9 +37,10 @@
 // --rewrite selects the dedup-time fragmentation control: cbr caps the
 // distinct old containers a segment may reference, har rewrites
 // duplicates into containers that went sparse across generations.
-// --restore-cache-mb budgets the restore path's whole-container LRU;
+// --restore-cache-mb budgets the restore path's container cache;
 // --measure-restore times a full streaming restore of the corpus after
-// ingest and reports restore MB/s, containers-read-per-MB and CFL.
+// ingest and reports restore MB/s, containers-read-per-MB, CFL and the
+// container read amplification.
 #include <cstdio>
 
 #include "mhd/metrics/json_export.h"
@@ -150,6 +151,8 @@ int main(int argc, char** argv) {
     t.add_row({"containers read / MB",
                TextTable::num(r.restore.containers_read_per_mb(), 3)});
     t.add_row({"CFL", TextTable::num(r.restore.cfl, 3)});
+    t.add_row({"container read amp",
+               TextTable::num(r.restore.read_amp(), 3)});
   }
   if (r.stats.transient_retries != 0) {
     t.add_row({"transient retries", TextTable::num(r.stats.transient_retries)});

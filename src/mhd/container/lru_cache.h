@@ -1,6 +1,7 @@
 // Intrusive-list LRU cache used for the in-RAM Manifest cache (the paper's
 // "cache contains a number of Manifests... freed following the LRU policy",
-// with dirty entries written back before eviction).
+// with dirty entries written back before eviction) and, byte-weighted, for
+// ContainerBackend's restore cache.
 //
 // Eviction invokes a user-supplied callback so the owner can flush dirty
 // state to the storage backend.
@@ -95,6 +96,13 @@ class LruCache {
     order_.erase(it->second);
     index_.erase(it);
     return true;
+  }
+
+  /// Removes every entry *without* invoking the eviction callback.
+  void clear() {
+    order_.clear();
+    index_.clear();
+    total_weight_ = 0;
   }
 
   /// Evicts everything (invoking the callback for each entry).

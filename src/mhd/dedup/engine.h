@@ -126,7 +126,7 @@ struct EngineConfig {
   // (--container-mb) and `rewrite` selects the fragmentation-control
   // algorithm applied at dedup time (--rewrite).
   std::uint64_t container_bytes = 0;
-  /// RAM budget of the restore path's whole-container LRU cache
+  /// RAM budget of the restore path's container cache, in fetched bytes
   /// (--restore-cache-mb).
   std::uint64_t restore_cache_bytes = 32ull << 20;
   RewriteMode rewrite = RewriteMode::kNone;

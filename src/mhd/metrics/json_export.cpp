@@ -77,6 +77,7 @@ std::string to_json(const ExperimentResult& r) {
       << ",\"restore_seconds\":" << num(r.restore.seconds)
       << ",\"restore_mb_per_s\":" << num(r.restore.mb_per_s())
       << ",\"restore_container_reads\":" << r.restore.container_reads
+      << ",\"restore_container_read_bytes\":" << r.restore.container_read_bytes
       << ",\"containers_read_per_mb\":" << num(r.restore.containers_read_per_mb())
       << ",\"cfl\":" << num(r.restore.cfl)
       << ",\"manifest_loads\":" << r.manifest_loads

@@ -52,9 +52,14 @@ struct MetadataBreakdown {
 struct RestoreMetrics {
   std::uint64_t bytes = 0;   ///< logical bytes restored
   double seconds = 0;
-  /// Whole-container loads this restore caused (ContainerStats diff);
-  /// zero on a legacy per-chunk store.
+  /// Containers this restore brought into the cache, once per residency
+  /// however many of their ranges it fetched (ContainerStats diff); zero
+  /// on a legacy per-chunk store.
   std::uint64_t container_reads = 0;
+  /// Container bytes this restore fetched from below the cache — the
+  /// measured read traffic behind `bytes` (read amplification =
+  /// container_read_bytes / bytes).
+  std::uint64_t container_read_bytes = 0;
   std::uint64_t cache_hits = 0;
   /// Chunk-fragmentation level: optimal container reads
   /// (ceil(bytes/container_bytes)) over actual reads. 1.0 = perfectly
@@ -65,6 +70,11 @@ struct RestoreMetrics {
   double mb_per_s() const {
     return seconds <= 0 ? 0.0
                         : static_cast<double>(bytes) / (1 << 20) / seconds;
+  }
+  double read_amp() const {
+    return bytes == 0 ? 0.0
+                      : static_cast<double>(container_read_bytes) /
+                            static_cast<double>(bytes);
   }
   double containers_read_per_mb() const {
     return bytes == 0 ? 0.0

@@ -126,6 +126,8 @@ RestoreMetrics measure_restore(StorageBackend& backend,
   if (containers != nullptr) {
     const ContainerStats after = containers->stats();
     m.container_reads = after.container_reads - before.container_reads;
+    m.container_read_bytes =
+        after.container_read_bytes - before.container_read_bytes;
     m.cache_hits = after.cache_hits - before.cache_hits;
     const std::uint64_t cbytes = containers->config().container_bytes;
     if (cbytes > 0 && m.bytes > 0) {

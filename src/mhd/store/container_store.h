@@ -18,10 +18,14 @@
 //     earlier mutation, so a crash can only lose bytes no committed map
 //     references (the invariant fsck leans on).
 //   * get/get_range(kDiskChunk, ...) resolve through the extent map and
-//     read whole containers through a bounded LRU container cache — the
-//     forward-assembly-area of the restore path. Reads of the still-open
-//     container are served from its in-RAM image (its tail is not yet a
-//     clean stream below).
+//     read through a byte-budgeted LRU container cache — the
+//     forward-assembly-area of the restore path. A cache entry holds the
+//     verified byte ranges of one container fetched so far; a miss, or a
+//     gap in a resident entry, fetches only the missing bytes from below
+//     (FramedBackend reads and CRC-checks just the records covering them).
+//     Freshly sealed containers enter the cache whole, so reads right
+//     after a write hit. Reads of the still-open container are served
+//     from its in-RAM image (its tail is not yet a clean stream below).
 //
 // Layering (outermost first):
 //
@@ -41,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mhd/container/lru_cache.h"
 #include "mhd/store/backend.h"
 
 namespace mhd {
@@ -48,7 +53,7 @@ namespace mhd {
 struct ContainerConfig {
   /// Target physical container size (chunk payload bytes per container).
   std::uint64_t container_bytes = 4ull << 20;
-  /// RAM budget of the whole-container restore cache (--restore-cache-mb).
+  /// RAM budget of the restore cache, in fetched bytes (--restore-cache-mb).
   std::uint64_t cache_bytes = 32ull << 20;
 };
 
@@ -57,9 +62,11 @@ struct ContainerConfig {
 struct ContainerStats {
   std::uint64_t containers_sealed = 0;
   std::uint64_t packed_bytes = 0;       ///< chunk bytes packed so far
-  std::uint64_t container_reads = 0;    ///< whole-container loads (misses)
-  std::uint64_t container_read_bytes = 0;
-  std::uint64_t cache_hits = 0;
+  /// Containers brought into the cache: one per residency, however many
+  /// ranges of it are fetched while resident (the CFL denominator).
+  std::uint64_t container_reads = 0;
+  std::uint64_t container_read_bytes = 0;  ///< every byte fetched from below
+  std::uint64_t cache_hits = 0;  ///< reads served wholly from resident bytes
   std::uint64_t cache_evictions = 0;
   std::uint64_t open_hits = 0;  ///< reads served from the open container
 };
@@ -116,7 +123,7 @@ class ContainerBackend final : public StorageBackend {
   /// Run after the chunk-map sweep of collect_garbage().
   std::pair<std::uint64_t, std::uint64_t> sweep_containers();
 
-  /// Empties the whole-container LRU cache (the counters are untouched).
+  /// Empties the container cache (the counters are untouched).
   /// Restore benchmarks call this to measure from a cold cache instead of
   /// whatever ingest/verification happened to leave resident.
   void drop_cache();
@@ -138,12 +145,17 @@ class ContainerBackend final : public StorageBackend {
   /// pending. nullptr when the chunk is unknown. Caller holds mu_.
   const ExtentMap* extents_for(const std::string& name) const;
 
+  /// Logical bytes [offset, offset+length) of a chunk with these extents,
+  /// or nullopt when the range exceeds it. Caller holds mu_.
+  std::optional<ByteVec> read_extents(const ExtentMap& extents,
+                                      std::uint64_t offset,
+                                      std::uint64_t length) const;
+
   /// Bytes [offset, offset+length) of container `id`, via the open image,
-  /// the cache, or a whole-container load. Caller holds mu_.
+  /// the cache, or a fetch of the bytes the cache lacks. Caller holds mu_.
   std::optional<ByteVec> read_container_range(std::uint64_t id,
                                               std::uint64_t offset,
                                               std::uint64_t length) const;
-  void cache_insert(std::uint64_t id, ByteVec bytes) const;
   void roll_container();
 
   StorageBackend& inner_;
@@ -160,15 +172,16 @@ class ContainerBackend final : public StorageBackend {
   mutable std::unordered_map<std::string, ExtentMap> committed_;  ///< cache
   std::uint64_t chunk_logical_bytes_ = 0;  ///< content_bytes(kDiskChunk)
 
-  // Whole-container LRU cache (recency list + index), byte-budgeted.
-  struct CacheEntry {
-    std::uint64_t id = 0;
-    ByteVec bytes;
+  /// The verified bytes of one sealed container fetched so far: disjoint
+  /// ranges keyed by their container offset.
+  struct Resident {
+    std::map<std::uint64_t, ByteVec> ranges;
+    std::uint64_t bytes = 0;
   };
-  mutable std::vector<CacheEntry> lru_;  ///< front = most recent
-  mutable std::uint64_t cached_bytes_ = 0;
 
   mutable ContainerStats stats_;
+  /// Container id -> resident ranges, LRU-evicted by fetched bytes.
+  mutable LruCache<std::uint64_t, Resident> cache_;
 };
 
 }  // namespace mhd

@@ -145,4 +145,44 @@ std::optional<ByteVec> extract_stream(ByteSpan framed) {
   return out;
 }
 
+std::vector<std::uint64_t> record_starts(ByteSpan framed) {
+  std::vector<std::uint64_t> starts;
+  std::uint64_t logical = 0;
+  std::size_t pos = 0;
+  while (pos + kHeaderBytes <= framed.size() &&
+         load_le<std::uint32_t>(framed.data() + pos) == kRecordMagic) {
+    const std::uint32_t len = load_le<std::uint32_t>(framed.data() + pos + 4);
+    starts.push_back(logical);
+    logical += len;
+    pos += kHeaderBytes + len;
+  }
+  return starts;
+}
+
+bool unframe_records(ByteSpan framed, std::span<const std::uint64_t> starts,
+                     std::uint64_t end, LogicalRange range, ByteVec& out) {
+  const std::uint64_t copy_from = range.offset;
+  const std::uint64_t copy_to =
+      range.offset + std::min(range.length, end - std::min(end, range.offset));
+  std::size_t pos = 0;
+  for (std::size_t j = 0; j < starts.size(); ++j) {
+    const std::uint64_t first = starts[j];
+    const std::uint64_t last = j + 1 < starts.size() ? starts[j + 1] : end;
+    if (framed.size() - pos < kHeaderBytes) return false;
+    const Byte* h = framed.data() + pos;
+    const std::uint32_t len = load_le<std::uint32_t>(h + 4);
+    if (load_le<std::uint32_t>(h) != kRecordMagic || len != last - first ||
+        framed.size() - pos - kHeaderBytes < len) {
+      return false;
+    }
+    const ByteSpan payload = framed.subspan(pos + kHeaderBytes, len);
+    if (load_le<std::uint32_t>(h + 8) != crc32c(0, payload)) return false;
+    const std::uint64_t from = std::max(first, copy_from);
+    const std::uint64_t to = std::min(last, copy_to);
+    if (from < to) mhd::append(out, payload.subspan(from - first, to - from));
+    pos += kHeaderBytes + len;
+  }
+  return pos == framed.size();
+}
+
 }  // namespace mhd::framing

@@ -11,7 +11,9 @@
 // reap the slowloris test exists to exercise.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mhd/core/mhd_engine.h"
@@ -135,6 +137,14 @@ TEST(NetFaultTest, TornPutRetriesToZeroDataLoss) {
   ASSERT_TRUE(r.ok) << r.message;
   EXPECT_GE(client->retries(), 1u);
 
+  // The torn connection's session thread counts the disconnect when it
+  // reads EOF, which may come after the retried PUT has already landed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (daemon.peer_disconnects() < 1u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(daemon.peer_disconnects(), 1u);
   EXPECT_EQ(daemon.protocol_errors(), 0u);
   const std::string stats = daemon.stats_json();
